@@ -8,8 +8,8 @@ archive: a keyword search over descriptors (never materializing a
 payload) against a strawman scan that materializes every block, and
 reports the speed ratio and the byte volumes involved.
 
-Shape claim (EXPERIMENTS.md): attribute search reads zero payload
-bytes and is at least an order of magnitude faster than the payload
+Shape claim (DESIGN.md, "Per-experiment index"): attribute search
+reads zero payload bytes and is at least an order of magnitude faster than the payload
 scan on this corpus.
 """
 

@@ -13,8 +13,8 @@ live on remote sites:
 * **copy-everything strategy** — replicate every payload before doing
   anything (the "move massive amounts" baseline).
 
-Shape claims (EXPERIMENTS.md): the descriptor strategy moves orders of
-magnitude fewer bytes to reach a schedulable document, and its
+Shape claims (DESIGN.md, "Per-experiment index"): the descriptor
+strategy moves orders of magnitude fewer bytes to reach a schedulable document, and its
 simulated network time is correspondingly smaller; the crossover in
 favour of copying only appears when every byte is eventually played
 many times over.

@@ -6,7 +6,8 @@ schedules the fragment and asserts each claim; a second bench plays it
 on the workstation device model and shows all must windows hold while
 the may-synchronized labels are allowed to drift.
 
-Shape claims (EXPERIMENTS.md, quoting section 5.3.4):
+Shape claims (DESIGN.md, "Per-experiment index"; quoting section
+5.3.4):
 1. "the graphic channel is synchronized with the start of the audio
    portion of the report";
 2. "within the graphic channel, each illustration is sequentially

@@ -5,7 +5,7 @@ evening news document and each stage's input/output artifact is checked.
 The benchmark times one complete pipeline pass (stages 3-5; stages 1-2
 author the fixture once).
 
-Shape claims (EXPERIMENTS.md):
+Shape claims (DESIGN.md, "Per-experiment index"):
 * the five stages exist and compose: capture -> structure map ->
   presentation map -> filter plan -> schedule + playback;
 * stages 1-3 are target-independent (identical artifacts for every

@@ -6,8 +6,8 @@ fragment document and measures where must arcs start failing — the
 crossover the tolerance mechanism exists for: wide windows survive slow
 devices, hard windows do not.
 
-Shape claims (EXPERIMENTS.md): violations decrease monotonically with
-window width; a window wider than the worst device latency+jitter has
+Shape claims (DESIGN.md, "Per-experiment index"): violations decrease
+monotonically with window width; a window wider than the worst device latency+jitter has
 zero violations; the hard window (0,0) fails on every jittery device.
 """
 

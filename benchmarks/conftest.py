@@ -2,7 +2,7 @@
 
 Every bench regenerates one paper artifact (see DESIGN.md's
 per-experiment index) and measures the subsystem that produces it.
-EXPERIMENTS.md records the shape claims these benches check.
+The same index lists the shape claims these benches check.
 """
 
 from __future__ import annotations

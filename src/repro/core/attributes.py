@@ -188,6 +188,27 @@ def spec_for(name: str) -> AttributeSpec | None:
     return STANDARD_ATTRIBUTES.get(name)
 
 
+def validated_value(name: str, value: Any) -> Any:
+    """Check one name/value pair and return the value as stored.
+
+    Standard attributes are validated (and normalized) against their
+    registry spec; repeatable ones store a list.  Free attributes are
+    kept as given.
+    """
+    if not isinstance(name, str) or not name:
+        raise AttributeError_(
+            f"attribute name must be a non-empty string, got {name!r}")
+    spec = STANDARD_ATTRIBUTES.get(name)
+    if spec is None:
+        return value
+    if spec.repeatable_value:
+        # Repeatable attributes store a list of validated items;
+        # validation of the items happens where the item type is
+        # known (sync arcs validate themselves on construction).
+        return value if isinstance(value, list) else [value]
+    return validate_value(spec.kind, value)
+
+
 @dataclass
 class Attribute:
     """A single name/value pair in an attribute list."""
@@ -196,20 +217,15 @@ class Attribute:
     value: Any
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise AttributeError_(
-                f"attribute name must be a non-empty string, "
-                f"got {self.name!r}")
-        spec = spec_for(self.name)
-        if spec is not None:
-            if spec.repeatable_value:
-                # Repeatable attributes store a list of validated items;
-                # validation of the items happens where the item type is
-                # known (sync arcs validate themselves on construction).
-                if not isinstance(self.value, list):
-                    self.value = [self.value]
-            else:
-                self.value = validate_value(spec.kind, self.value)
+        self.value = validated_value(self.name, self.value)
+
+    @classmethod
+    def _stored(cls, name: str, value: Any) -> "Attribute":
+        """A view of an already-validated list entry (no re-check)."""
+        attribute = cls.__new__(cls)
+        attribute.name = name
+        attribute.value = value
+        return attribute
 
     @property
     def spec(self) -> AttributeSpec | None:
@@ -223,18 +239,19 @@ class AttributeList:
     Implements the paper's rule that "each name may occur at most once in
     each list for each node".  For repeatable attributes (currently only
     ``sync-arc``) the single entry holds a list and :meth:`append_value`
-    extends it.
+    extends it.  Values are stored validated, keyed by name; iteration
+    yields :class:`Attribute` views of the entries.
     """
 
     def __init__(self, attributes: dict[str, Any] | None = None) -> None:
-        self._items: dict[str, Attribute] = {}
+        self._values: dict[str, Any] = {}
         if attributes:
             for name, value in attributes.items():
                 self.set(name, value)
 
     def set(self, name: str, value: Any) -> None:
         """Set (or overwrite) the attribute ``name``."""
-        self._items[name] = Attribute(name, value)
+        self._values[name] = validated_value(name, value)
 
     def append_value(self, name: str, value: Any) -> None:
         """Append ``value`` to a repeatable attribute's value list."""
@@ -242,49 +259,47 @@ class AttributeList:
         if spec is None or not spec.repeatable_value:
             raise AttributeError_(
                 f"attribute {name!r} is not repeatable; use set()")
-        if name in self._items:
-            self._items[name].value.append(value)
+        if name in self._values:
+            self._values[name].append(value)
         else:
             self.set(name, [value])
 
     def get(self, name: str, default: Any = None) -> Any:
         """Return the value of ``name``, or ``default`` when absent."""
-        item = self._items.get(name)
-        return item.value if item is not None else default
+        return self._values.get(name, default)
 
     def require(self, name: str) -> Any:
         """Return the value of ``name``, raising when absent."""
-        item = self._items.get(name)
-        if item is None:
+        if name not in self._values:
             raise AttributeError_(f"required attribute {name!r} is absent")
-        return item.value
+        return self._values[name]
 
     def remove(self, name: str) -> None:
         """Delete the attribute ``name`` (missing names are ignored)."""
-        self._items.pop(name, None)
+        self._values.pop(name, None)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._items
+        return name in self._values
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[Attribute]:
-        return iter(self._items.values())
+        return (Attribute._stored(name, value)
+                for name, value in self._values.items())
 
     def names(self) -> list[str]:
         """Attribute names in declaration order."""
-        return list(self._items)
+        return list(self._values)
 
     def as_dict(self) -> dict[str, Any]:
         """A plain name -> value snapshot (values are not copied)."""
-        return {name: item.value for name, item in self._items.items()}
+        return dict(self._values)
 
     def copy(self) -> "AttributeList":
         """A shallow copy (repeatable value lists are copied)."""
         clone = AttributeList()
-        for name, item in self._items.items():
-            value = item.value
+        for name, value in self._values.items():
             if isinstance(value, list):
                 value = list(value)
             clone.set(name, value)

@@ -39,12 +39,11 @@ class Medium(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Medium":
         """Look a medium up by its symbolic name (case-insensitive)."""
-        normalized = str(name).strip().lower()
-        for medium in cls:
-            if medium.value == normalized:
-                return medium
-        raise ChannelError(f"unknown medium {name!r}; expected one of "
-                           f"{[m.value for m in cls]}")
+        try:
+            return cls(str(name).strip().lower())
+        except ValueError:
+            raise ChannelError(f"unknown medium {name!r}; expected one of "
+                               f"{[m.value for m in cls]}") from None
 
 
 #: Media that occupy screen real estate and therefore need a region from

@@ -22,10 +22,11 @@ from typing import Any, Callable, Iterator
 
 from repro.core.channels import Channel, ChannelDictionary, Medium
 from repro.core.descriptors import (DataDescriptor, EventDescriptor, Slice)
-from repro.core.errors import (ChannelError, StructureError, ValueError_)
+from repro.core.errors import (ChannelError, FormatError, StructureError,
+                               ValueError_)
 from repro.core.nodes import (ContainerNode, ImmNode, Node, NodeKind,
                               SeqNode)
-from repro.core.paths import node_path
+from repro.core.paths import node_path, path_map
 from repro.core.styles import StyleDictionary
 from repro.core.timebase import MediaTime, TimeBase, Unit
 from repro.core.tree import iter_leaves, iter_preorder, tree_stats
@@ -119,11 +120,11 @@ class CmifDocument:
         timebase_group = root.attributes.get("timebase")
         if timebase_group:
             timebase = TimeBase(
-                frame_rate=float(timebase_group.get("frame-rate", 25.0)),
-                sample_rate=float(timebase_group.get("sample-rate", 44100.0)),
-                byte_rate=float(timebase_group.get("byte-rate", 176400.0)),
-                chars_per_second=float(
-                    timebase_group.get("chars-per-second", 15.0)),
+                frame_rate=_rate(timebase_group, "frame-rate", 25.0),
+                sample_rate=_rate(timebase_group, "sample-rate", 44100.0),
+                byte_rate=_rate(timebase_group, "byte-rate", 176400.0),
+                chars_per_second=_rate(timebase_group, "chars-per-second",
+                                       15.0),
             )
         return cls(root, channels, styles, timebase)
 
@@ -226,13 +227,15 @@ class CmifDocument:
         by_node: dict[int, EventDescriptor] = {}
         per_channel: dict[str, list[EventDescriptor]] = {
             name: [] for name in self.channels.names()}
+        styles = self.styles_or_none()
+        paths = path_map(self.root)
         for leaf in self.leaves():
             channel = self.channel_for(leaf)
             medium = self._leaf_medium(leaf, channel)
             descriptor: DataDescriptor | None = None
             slice_: Slice | None = None
             if leaf.kind is NodeKind.EXT:
-                file_id = leaf.effective("file", styles=self.styles_or_none())
+                file_id = leaf.effective("file", styles=styles)
                 if file_id is None:
                     raise StructureError(
                         f"external node {node_path(leaf)} has no file "
@@ -241,7 +244,7 @@ class CmifDocument:
                 slice_ = self._leaf_slice(leaf)
             duration_ms = self._leaf_duration_ms(
                 leaf, medium, descriptor, slice_)
-            path = node_path(leaf)
+            path = paths[id(leaf)]
             event = EventDescriptor(
                 event_id=path,
                 node_path=path,
@@ -250,13 +253,23 @@ class CmifDocument:
                 duration_ms=duration_ms,
                 descriptor=descriptor,
                 slice_=slice_,
-                attributes=leaf.level_attributes(self.styles_or_none()),
+                attributes=leaf.level_attributes(styles),
             )
             events.append(event)
             by_node[id(leaf)] = event
             per_channel.setdefault(channel.name, []).append(event)
         return CompiledDocument(document=self, events=events,
                                 by_node=by_node, per_channel=per_channel)
+
+
+def _rate(group: dict[str, Any], name: str, default: float) -> float:
+    """One numeric ``timebase`` entry; anything else is a format error."""
+    value = group.get(name, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise FormatError(f"timebase entry {name!r} must be a number, "
+                          f"got {value!r}") from None
 
 
 @dataclass

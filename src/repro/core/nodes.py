@@ -34,6 +34,10 @@ from repro.core.syncarc import SyncArc
 from repro.core.values import validate_name
 
 
+#: Marks a name missing from an attribute list (None is a legal value).
+_ABSENT = object()
+
+
 class NodeKind(enum.Enum):
     """The four CMIF node types of paper figure 6."""
 
@@ -156,19 +160,35 @@ class Node:
         attribute is inherited per the standard registry, the nearest
         ancestor's own/style value.  Non-standard attributes do not
         inherit (the registry is the single source of inheritance rules).
+
+        Equivalent to walking :meth:`level_attributes` up the ancestor
+        chain, without copying any level: own values are read in place,
+        and styles are expanded (and, when ``styles`` is None, the root's
+        dictionary looked up) only at a node that carries ``style``.
         """
-        if styles is None:
-            styles = self._style_dictionary()
-        level = self.level_attributes(styles)
-        if name in level:
-            return level[name]
-        spec = spec_for(name)
-        if spec is None or not spec.inherited:
-            return default
-        for ancestor in self.ancestors():
-            level = ancestor.level_attributes(styles)
-            if name in level:
-                return level[name]
+        inherited: bool | None = None
+        resolve_styles = styles is None
+        node: Node | None = self
+        while node is not None:
+            values = node.attributes._values
+            own = values.get(name, _ABSENT)
+            style_names = values.get("style")
+            if style_names:
+                if resolve_styles:
+                    styles = self._style_dictionary()
+                    resolve_styles = False
+                if styles is not None:
+                    expanded = styles.expand_all(tuple(style_names))
+                    if own is _ABSENT and name in expanded:
+                        return expanded[name]
+            if own is not _ABSENT:
+                return own
+            if inherited is None:
+                spec = spec_for(name)
+                inherited = spec is not None and spec.inherited
+                if not inherited:
+                    return default
+            node = node.parent
         return default
 
     # -- synchronization arcs -------------------------------------------

@@ -48,11 +48,18 @@ class Unit(enum.Enum):
         Accepts both the short form used in the concrete syntax (``"ms"``,
         ``"s"``) and the enum member name (``"SECONDS"``).
         """
-        normalized = name.strip().lower()
-        for unit in cls:
-            if normalized in (unit.value, unit.name.lower()):
-                return unit
-        raise ValueError_(f"unknown time unit {name!r}")
+        unit = _UNIT_NAMES.get(name.strip().lower())
+        if unit is None:
+            raise ValueError_(f"unknown time unit {name!r}")
+        return unit
+
+
+#: Unit lookup by short form or lower-cased member name.  Built in
+#: reverse so that on a clash the first unit in declaration order wins,
+#: as a scan would find it.
+_UNIT_NAMES: dict[str, Unit] = {
+    key: unit for unit in reversed(Unit)
+    for key in (unit.name.lower(), unit.value)}
 
 
 @dataclass(frozen=True)

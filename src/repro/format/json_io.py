@@ -124,11 +124,21 @@ def value_from_obj(value: Any) -> Any:
     """Decode one attribute value from JSON data."""
     if isinstance(value, dict):
         if "$time" in value:
-            number, unit = value["$time"]
-            return MediaTime(float(number), Unit.from_name(unit))
+            try:
+                number, unit = value["$time"]
+                return MediaTime(float(number), Unit.from_name(unit))
+            except (TypeError, ValueError, AttributeError):
+                raise FormatError(f"malformed $time value "
+                                  f"{value['$time']!r}; expected "
+                                  f"[number, unit]") from None
         if "$rect" in value:
-            x, y, w, h = value["$rect"]
-            return Rect(int(x), int(y), int(w), int(h))
+            try:
+                x, y, w, h = value["$rect"]
+                return Rect(int(x), int(y), int(w), int(h))
+            except (TypeError, ValueError):
+                raise FormatError(f"malformed $rect value "
+                                  f"{value['$rect']!r}; expected "
+                                  f"[x, y, width, height]") from None
         if "$pointers" in value:
             return tuple(str(item) for item in value["$pointers"])
         return {key: value_from_obj(nested)

@@ -35,6 +35,7 @@ from repro.core.values import Rect
 from repro.format.sexpr import Symbol, head_symbol, parse_one
 
 _TAGGED_HEADS = frozenset({"time", "rect"})
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
 
 
 def parse_document(text: str) -> CmifDocument:
@@ -51,7 +52,7 @@ def parse_document(text: str) -> CmifDocument:
             if version != 1:
                 raise FormatError(f"unsupported CMIF format version "
                                   f"{version!r}")
-        elif head in {kind.value for kind in NodeKind}:
+        elif head in _NODE_KINDS:
             if node_form is not None:
                 raise FormatError("document has more than one root node")
             node_form = item
@@ -69,10 +70,9 @@ def parse_document(text: str) -> CmifDocument:
 def parse_node(expression: object) -> Node:
     """Parse one node form (recursively)."""
     head = head_symbol(expression)
-    kinds = {kind.value: kind for kind in NodeKind}
-    if head not in kinds:
+    kind = _NODE_KINDS.get(head)
+    if kind is None:
         raise FormatError(f"expected a node form, got ({head} ...)")
-    kind = kinds[head]
     body = list(expression[1:])
     attribute_forms: list = []
     if body and head_symbol(body[0]) == "attributes":

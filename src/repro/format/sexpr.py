@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from repro.core.errors import FormatError
 
@@ -49,6 +49,8 @@ class Token:
 
 
 _DELIMITERS = set("()\";")
+#: The string escapes: ``\\``, ``\"``, ``\n``, ``\t``.
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 #: One master scanner instead of the seed's char-by-char loop: every
 #: position matches exactly one alternative (atoms swallow anything that
@@ -133,11 +135,10 @@ def _read_string(text: str, start: int, line: int,
             if i + 1 >= len(text):
                 break
             escape = text[i + 1]
-            mapping = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-            if escape not in mapping:
+            if escape not in _ESCAPES:
                 raise FormatError(f"unknown string escape \\{escape}",
                                   line, current_column)
-            out.append(mapping[escape])
+            out.append(_ESCAPES[escape])
             i += 2
             current_column += 2
             continue
@@ -172,26 +173,109 @@ def _try_number(word: str) -> int | float | None:
     return value
 
 
+#: The reader's scanner.  Each match is one token with the whitespace
+#: and comments before it folded in, so trivia never reaches Python.
+#: Strings with escapes or newlines get their own alternative, and a
+#: lone ``"`` (an unterminated string) matches ``bad`` so no position
+#: is ever skipped.  A match with no group is trailing trivia.
+_READ_RE = re.compile(
+    r"""(?:\s|;[^\n]*)*
+      (?: (?P<atom>[^\s()";]+)
+        | (?P<open>\()
+        | (?P<close>\))
+        | "(?P<string>[^"\\\n]*)"
+        | (?P<escaped>"(?:[^"\\]|\\[\s\S])*")
+        | (?P<bad>")
+      )?""", re.VERBOSE)
+
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
+_MISSING = object()
+
+
 def parse_all(text: str) -> list[object]:
-    """Parse the source text into a list of top-level expressions."""
-    stack: list[list[object]] = [[]]
-    opens: list[Token] = []
-    for token in tokenize(text):
-        if token.kind == "open":
-            stack.append([])
-            opens.append(token)
-        elif token.kind == "close":
-            if len(stack) == 1:
-                raise FormatError("unbalanced ')'", token.line, token.column)
-            finished = stack.pop()
+    """Parse the source text into a list of top-level expressions.
+
+    Scans straight into nested lists: no :class:`Token` objects, and
+    line/column are derived from the offset only when raising.  Atoms
+    are decoded once per distinct text per parse, so each distinct
+    :class:`Symbol` is built (and validated) once and then shared.
+    """
+    current: list[object] = []
+    stack: list[list[object]] = []
+    atoms: dict[str, object] = {}
+    for found in _READ_RE.finditer(text):
+        kind = found.lastgroup
+        if kind == "atom":
+            word = found.group(kind)
+            value = atoms.get(word, _MISSING)
+            if value is _MISSING:
+                value = _try_number(word)
+                if value is None:
+                    value = Symbol(word)
+                atoms[word] = value
+            current.append(value)
+        elif kind == "open":
+            stack.append(current)
+            current = []
+        elif kind == "close":
+            if not stack:
+                line, column = _position(text, found.start(kind))
+                raise FormatError("unbalanced ')'", line, column)
+            finished = current
+            current = stack.pop()
+            current.append(finished)
+        elif kind == "string":
+            current.append(found.group(kind))
+        elif kind == "escaped":
+            current.append(_unescape(text, found.start(kind),
+                                     found.group(kind)))
+        elif kind == "bad":
+            _raise_string_error(text, found.start(kind))
+    if stack:
+        line, column = _position(text, _unclosed_open(text))
+        raise FormatError("unbalanced '('", line, column)
+    return current
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``text[offset]``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def _unescape(text: str, start: int, literal: str) -> str:
+    """Decode a quoted string with escapes (``literal`` keeps quotes)."""
+    def replace(escape: re.Match) -> str:
+        value = _ESCAPES.get(escape.group(1))
+        if value is None:
+            _raise_string_error(text, start)
+        return value
+    return _ESCAPE_RE.sub(replace, literal[1:-1])
+
+
+def _raise_string_error(text: str, start: int) -> NoReturn:
+    """Raise the positional error for the bad string at ``text[start]``.
+
+    Reuses the lexer's string reader so the message, line and column
+    are exactly those :func:`tokenize` reports.  The scanner sends only
+    unterminated strings and strings with an unknown escape here, and
+    the reader raises on both.
+    """
+    line, column = _position(text, start)
+    _read_string(text, start, line, column)
+    raise AssertionError(f"the string at offset {start} is well formed")
+
+
+def _unclosed_open(text: str) -> int:
+    """Offset of the innermost ``(`` still open at the end of ``text``."""
+    opens: list[int] = []
+    for found in _READ_RE.finditer(text):
+        kind = found.lastgroup
+        if kind == "open":
+            opens.append(found.start(kind))
+        elif kind == "close":
             opens.pop()
-            stack[-1].append(finished)
-        else:
-            stack[-1].append(token.value)
-    if len(stack) != 1:
-        token = opens[-1]
-        raise FormatError("unbalanced '('", token.line, token.column)
-    return stack[0]
+    return opens[-1]
 
 
 def parse_one(text: str) -> object:

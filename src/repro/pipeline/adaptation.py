@@ -170,6 +170,8 @@ def compile_adaptation(plan: FilterPlan, compiled: CompiledDocument,
             by_id.setdefault(event.descriptor.descriptor_id,
                              event.descriptor)
     slots: dict[str, int] = {}
+    # Per-slot op chains, in plan order: one pass groups the actions.
+    chains: list[list[FilterAction]] = []
     seen_kinds: set[tuple[str, FilterKind]] = set()
     op_slot: list[int] = []
     actions: list[FilterAction] = []
@@ -181,17 +183,20 @@ def compile_adaptation(plan: FilterPlan, compiled: CompiledDocument,
         if dedup in seen_kinds:
             continue
         seen_kinds.add(dedup)
-        op_slot.append(slots.setdefault(action.descriptor_id,
-                                        len(slots)))
+        slot = slots.get(action.descriptor_id)
+        if slot is None:
+            slot = slots[action.descriptor_id] = len(chains)
+            chains.append([])
+        chains[slot].append(action)
+        op_slot.append(slot)
         actions.append(action)
     originals: list[DataDescriptor] = []
     overrides: list[DataDescriptor] = []
-    for descriptor_id in slots:
+    for descriptor_id, chain in zip(slots, chains):
         descriptor = by_id[descriptor_id]
         attributes = dict(descriptor.attributes)
-        for slot, action in zip(op_slot, actions):
-            if slot == slots[descriptor_id]:
-                attributes = adapt_attributes(action, attributes)
+        for action in chain:
+            attributes = adapt_attributes(action, attributes)
         originals.append(descriptor)
         overrides.append(DataDescriptor(
             descriptor_id=descriptor.descriptor_id,

@@ -472,7 +472,12 @@ class SessionEngine:
         """
         stats = self.stats_for(environment)
         start = time.perf_counter()
-        requirements = self.requirements_cache.requirements_for(document)
+        # One compile per cold admission: the requirements walk and the
+        # solve below share it, so a revision is compiled at most once.
+        compiled = (None if document in self.requirements_cache
+                    else document.compile())
+        requirements = self.requirements_cache.requirements_for(
+            document, compiled)
         negotiation = negotiate(document, environment,
                                 requirements=requirements)
         self.session_count += 1
@@ -503,10 +508,11 @@ class SessionEngine:
             self.robustness.recovered += 1
             schedule = schedule_for(document, cache=self.schedule_cache,
                                     engine=ENGINE_REFERENCE,
-                                    kernel=self.kernel)
+                                    kernel=self.kernel, compiled=compiled)
         else:
             schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=self.engine, kernel=self.kernel)
+                                    engine=self.engine, kernel=self.kernel,
+                                    compiled=compiled)
         program = adapted_program_for(schedule, environment,
                                       program_cache=self.program_cache,
                                       requirements=requirements)

@@ -299,7 +299,8 @@ class ScheduleCache:
                      channel_serialization: bool = True,
                      relaxation_policy: str = RELAX_DROP_LAST,
                      engine: str = ENGINE_REFERENCE,
-                     kernel=None) -> Schedule:
+                     kernel=None,
+                     compiled: CompiledDocument | None = None) -> Schedule:
         """The document's schedule, compiled and solved at most once.
 
         On a miss this pays the full compile → build → solve → wrap
@@ -307,6 +308,8 @@ class ScheduleCache:
         The two engines (and both kernels) are bit-identical, so the
         key ignores ``engine`` and ``kernel`` and a graph-warmed entry
         (corpus ingest) serves reference-path consumers directly.
+        ``compiled`` is the caller's ``document.compile()`` at the
+        current revision, used on a miss instead of compiling again.
         """
         cached = self.get(document,
                           channel_serialization=channel_serialization,
@@ -314,7 +317,7 @@ class ScheduleCache:
         if cached is not None:
             return cached
         schedule = schedule_document(
-            document.compile(),
+            compiled if compiled is not None else document.compile(),
             channel_serialization=channel_serialization,
             relaxation_policy=relaxation_policy,
             engine=engine, kernel=kernel)
@@ -427,17 +430,22 @@ def schedule_for(document: CmifDocument, *,
                  channel_serialization: bool = True,
                  relaxation_policy: str = RELAX_DROP_LAST,
                  engine: str = ENGINE_REFERENCE,
-                 kernel=None) -> Schedule:
+                 kernel=None,
+                 compiled: CompiledDocument | None = None) -> Schedule:
     """The document's schedule, through a cache when one is given.
 
     The one cache-or-solve branch the player, viewer and CLI share.
+    ``compiled``, when given, is ``document.compile()`` at the current
+    revision and stands in for compiling again.
     """
     if cache is not None:
         return cache.schedule_for(
             document, channel_serialization=channel_serialization,
             relaxation_policy=relaxation_policy, engine=engine,
-            kernel=kernel)
+            kernel=kernel, compiled=compiled)
+    if compiled is None:
+        compiled = document.compile()
     return schedule_document(
-        document.compile(), channel_serialization=channel_serialization,
+        compiled, channel_serialization=channel_serialization,
         relaxation_policy=relaxation_policy, engine=engine,
         kernel=kernel)

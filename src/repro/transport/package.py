@@ -143,12 +143,24 @@ def _descriptor_to_obj(descriptor: DataDescriptor) -> dict:
 
 
 def _descriptor_from_obj(obj: dict) -> DataDescriptor:
+    if not isinstance(obj, dict):
+        raise TransportError(f"descriptor entry must be an object, got "
+                             f"{obj!r}")
+    for name in ("descriptor_id", "medium"):
+        if name not in obj:
+            raise TransportError(f"descriptor entry is missing its "
+                                 f"{name!r} field")
+    attributes = obj.get("attributes") or {}
+    if not isinstance(attributes, dict):
+        raise TransportError(f"descriptor {obj['descriptor_id']!r}: "
+                             f"'attributes' must be an object, got "
+                             f"{attributes!r}")
     return DataDescriptor(
         descriptor_id=obj["descriptor_id"],
         medium=Medium.from_name(obj["medium"]),
         block_id=obj.get("block_id"),
         attributes={name: value_from_obj(value)
-                    for name, value in (obj.get("attributes") or {}).items()},
+                    for name, value in attributes.items()},
     )
 
 

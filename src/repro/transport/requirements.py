@@ -514,6 +514,11 @@ class RequirementsCache:
     def _key(document: CmifDocument) -> tuple:
         return (id(document), document.revision)
 
+    def __contains__(self, document: CmifDocument) -> bool:
+        """True when the current revision's profile is cached (a peek:
+        no hit or miss is counted, no LRU order changes)."""
+        return self._key(document) in self._entries
+
     def requirements_for(self, document: CmifDocument,
                          compiled=None) -> DocumentRequirements:
         """The document's profile, derived at most once per revision."""

@@ -20,7 +20,8 @@ from repro.corpus import make_media_document
 from repro.pipeline.adaptation import (adapt_document,
                                        adapted_program_for,
                                        compile_adaptation)
-from repro.pipeline.filters import (ConstraintFilter, FilterKind,
+from repro.pipeline.filters import (ConstraintFilter, FilterAction,
+                                    FilterKind, FilterPlan,
                                     adapt_attributes, apply_action)
 from repro.pipeline.player import Player
 from repro.pipeline.program import BatchPlayer, ProgramCache
@@ -255,6 +256,51 @@ class TestAdaptationProgram:
         assert merged.ndim == 1
         assert np.allclose(merged, 0.5)
         assert updated.get("channels") == 1
+
+
+    def test_shared_descriptor_chain_order_is_pinned(self):
+        """A descriptor used on several channels gets one op chain in
+        plan order: duplicates of a kind drop, other descriptors'
+        ops interleave in the table but never in a chain."""
+        document = make_media_document(2, events=16)
+        compiled = document.compile()
+        ids = []
+        for event in compiled.events:
+            if event.descriptor is not None \
+                    and event.descriptor.descriptor_id not in ids:
+                ids.append(event.descriptor.descriptor_id)
+        shared, other = ids[0], ids[1]
+
+        def action(kind, descriptor_id, channel, **parameters):
+            return FilterAction(kind=kind, channel=channel,
+                                descriptor_id=descriptor_id,
+                                parameters=parameters, reason="test")
+
+        scale = action(FilterKind.SCALE_RESOLUTION, shared, "left",
+                       target_width=320, target_height=240)
+        audio = action(FilterKind.DOWNSAMPLE_AUDIO, other, "sound",
+                       target_rate=11025.0)
+        color = action(FilterKind.REDUCE_COLOR, shared, "right",
+                       bits_per_channel=2)
+        rescale = action(FilterKind.SCALE_RESOLUTION, shared, "right",
+                         target_width=160, target_height=120)
+        frames = action(FilterKind.SUBSAMPLE_FRAMES, shared, "left",
+                        target_rate=5.0)
+        drop = action(FilterKind.DROP_CHANNEL, None, "gone")
+        plan = FilterPlan(environment=PERSONAL_SYSTEM.name,
+                          actions=[scale, audio, color, rescale, drop,
+                                   frames])
+        adaptation = compile_adaptation(plan, compiled, PERSONAL_SYSTEM)
+        assert adaptation.descriptor_ids == (shared, other)
+        assert adaptation.op_slot == (0, 1, 0, 0)
+        assert adaptation.actions == (scale, audio, color, frames)
+        assert adaptation.actions_for(shared) == (scale, color, frames)
+        assert adaptation.dropped_channels == ("gone",)
+        for slot, chain in ((0, (scale, color, frames)), (1, (audio,))):
+            attributes = dict(adaptation.originals[slot].attributes)
+            for step in chain:
+                attributes = adapt_attributes(step, attributes)
+            assert adaptation.overrides[slot].attributes == attributes
 
 
 class TestEnvironmentKeyedProgramCache:

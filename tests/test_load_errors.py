@@ -1,0 +1,91 @@
+"""Malformed input on the load path raises typed errors, never raw ones.
+
+Regression tests for three spots where a damaged document or package
+used to escape the :class:`~repro.core.errors.CmifError` hierarchy with
+a bare ``ValueError``/``KeyError``.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.core.document import CmifDocument
+from repro.core.errors import FormatError, TransportError
+from repro.core.nodes import SeqNode
+from repro.corpus.generate import make_media_document
+from repro.format.json_io import value_from_obj
+from repro.format.parser import parse_document
+from repro.format.writer import write_document
+from repro.transport import package
+
+
+class TestTimebase:
+    def test_non_numeric_entry_in_from_root(self):
+        root = SeqNode("document")
+        root.attributes.set("timebase", {"byte-rate": "fast"})
+        with pytest.raises(FormatError, match="'byte-rate' must be a "
+                                              "number"):
+            CmifDocument.from_root(root)
+
+    def test_non_numeric_entry_in_text(self):
+        text = write_document(make_media_document(4, events=6))
+        assert "(byte-rate 176400)" in text
+        damaged = text.replace("(byte-rate 176400)", "(byte-rate fast)")
+        with pytest.raises(FormatError, match="byte-rate"):
+            parse_document(damaged)
+
+    def test_numeric_entries_still_load(self):
+        root = SeqNode("document")
+        root.attributes.set("timebase", {"frame-rate": 30})
+        assert CmifDocument.from_root(root).timebase.frame_rate == 30.0
+
+
+def damaged_package(mutate) -> str:
+    payload = json.loads(package.pack(make_media_document(5, events=8)))
+    descriptors = payload["cmif-package"]["descriptors"]
+    mutate(descriptors[next(iter(descriptors))])
+    return json.dumps(payload)
+
+
+class TestDescriptorDecode:
+    @pytest.mark.parametrize("field", ["descriptor_id", "medium"])
+    def test_missing_field_is_named(self, field):
+        text = damaged_package(lambda obj: obj.pop(field))
+        with pytest.raises(TransportError, match=repr(field)):
+            package.unpack(text)
+
+    def test_non_object_entry(self):
+        payload = json.loads(package.pack(make_media_document(5, events=8)))
+        descriptors = payload["cmif-package"]["descriptors"]
+        descriptors[next(iter(descriptors))] = ["not", "an", "object"]
+        with pytest.raises(TransportError, match="must be an object"):
+            package.unpack(json.dumps(payload))
+
+    def test_non_object_attributes(self):
+        text = damaged_package(
+            lambda obj: obj.__setitem__("attributes", [1, 2]))
+        with pytest.raises(TransportError, match="'attributes'"):
+            package.unpack(text)
+
+
+class TestValueDecode:
+    @pytest.mark.parametrize("raw", [[1], [1, "ms", 2], 5, ["x", "ms"],
+                                     [1, 7], None])
+    def test_malformed_time(self, raw):
+        with pytest.raises(FormatError, match=r"malformed \$time"):
+            value_from_obj({"$time": raw})
+
+    def test_malformed_rect(self):
+        with pytest.raises(FormatError, match=r"malformed \$rect"):
+            value_from_obj({"$rect": [1, 2, 3]})
+
+    def test_well_formed_time_still_decodes(self):
+        assert value_from_obj({"$time": [2, "s"]}).value == 2.0
+
+    def test_malformed_time_inside_a_package(self):
+        def damage(obj):
+            obj["attributes"]["duration"] = {"$time": [1]}
+        with pytest.raises(FormatError, match=r"malformed \$time"):
+            package.unpack(damaged_package(damage))

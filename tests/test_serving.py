@@ -1,12 +1,17 @@
 """Tests for the multi-tenant session engine (repro.serving)."""
 
+import collections
+
 import pytest
 
+from repro.core.document import CmifDocument
 from repro.core.errors import PlaybackError, ValueError_
 from repro.corpus import (generate_serving_corpus, make_media_document,
                           make_news_document)
 from repro.serving import SessionEngine
+from repro.timing.schedule import ENGINE_GRAPH, schedule_document
 from repro.transport import (FILTERABLE, PLAYABLE, PROFILES, UNPLAYABLE)
+from repro.transport.requirements import compute_requirements
 from repro.transport.environments import (PERSONAL_SYSTEM,
                                           SILENT_TERMINAL, WORKSTATION)
 
@@ -74,6 +79,64 @@ class TestAdmission:
         other = engine.admit(document, WORKSTATION)
         if other.admitted:
             assert other.player is not first.player
+
+
+class TestOneCompilePerAdmission:
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        """Count CmifDocument.compile calls per (document, revision)."""
+        counts = collections.Counter()
+        original = CmifDocument.compile
+
+        def counting(document):
+            counts[(id(document), document.revision)] += 1
+            return original(document)
+        monkeypatch.setattr(CmifDocument, "compile", counting)
+        return counts
+
+    def test_cold_admission_compiles_once(self, compiles):
+        engine = SessionEngine(seed=4)
+        documents = [make_media_document(seed, events=20, rich=True)
+                     for seed in range(4)]
+        for document in documents:
+            for environment in PROFILES:
+                engine.admit(document, environment)
+        assert set(compiles.values()) == {1}
+        assert len(compiles) == len(documents)
+        # The cache counters are those of one lookup per admission.
+        assert engine.requirements_cache.misses == len(documents)
+        assert engine.requirements_cache.hits \
+            == len(documents) * (len(PROFILES) - 1)
+        document = documents[0]
+        document.bump_revision()
+        engine.admit(document, WORKSTATION)
+        assert compiles[(id(document), document.revision)] == 1
+
+    def test_outputs_equal_separate_compiles(self):
+        """Sharing one compile changes nothing: requirements, schedule
+        and served reports equal those of an engine that compiles for
+        the requirements walk and again for the solve."""
+        for seed in range(3):
+            document = make_media_document(seed, events=24, rich=True)
+            shared = SessionEngine(seed=9)
+            separate = SessionEngine(seed=9)
+            separate.requirements_cache.requirements_for(document)
+            for environment in PROFILES:
+                one = shared.admit(document, environment)
+                two = separate.admit(document, environment)
+                assert one.verdict == two.verdict
+                if not one.admitted:
+                    continue
+                assert one.schedule.times_ms == two.schedule.times_ms
+                assert one.schedule.events == two.schedule.events
+                for replay in range(2):
+                    assert (one.play().materialize()
+                            == two.play().materialize())
+            assert (shared.requirements_cache.requirements_for(document)
+                    == compute_requirements(document))
+            assert (shared.schedule_cache.schedule_for(document).times_ms
+                    == schedule_document(document.compile(),
+                                         engine=ENGINE_GRAPH).times_ms)
 
 
 class TestReplay:
