@@ -28,7 +28,8 @@ from repro.core import edit as core_edit
 from repro.core.builder import DocumentBuilder
 from repro.core.syncarc import Strictness, SyncArc
 from repro.core.timebase import MediaTime
-from repro.timing import IncrementalScheduler, schedule_document
+from repro.timing import (ENGINE_REFERENCE, IncrementalScheduler,
+                          schedule_document)
 
 _MEDIA = ("video", "audio", "image", "text")
 
@@ -88,7 +89,11 @@ def edit_script(seed: int, document):
 
 
 def run_full(document, script):
-    """The seed-era loop: full compile + build + solve per edit."""
+    """The seed-era loop: full compile + build + solve per edit.
+
+    Pinned to the object-form reference solve, the one the incremental
+    solver re-relaxes in place, so the gate compares like with like.
+    """
     schedule = None
     for step in script:
         if step[0] == "retime":
@@ -97,7 +102,8 @@ def run_full(document, script):
             core_edit.add_arc(document, "/", step[1])
         else:
             core_edit.remove_arc(document, "/", step[1])
-        schedule = schedule_document(document.compile())
+        schedule = schedule_document(document.compile(),
+                                     engine=ENGINE_REFERENCE)
     return schedule
 
 

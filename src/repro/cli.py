@@ -240,14 +240,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: no {args.pattern} files in {directory}",
               file=sys.stderr)
         return 2
-    documents = [load_document(str(path)) for path in paths]
+    # One bad package must not take the catalog down: skip it, say so,
+    # serve the rest, and flag the run with exit 1.
+    documents = []
+    for path in paths:
+        try:
+            documents.append(load_document(str(path)))
+        except (CmifError, OSError) as error:
+            print(f"skipped {path.name}: {error}", file=sys.stderr)
+    if not documents:
+        print(f"error: no loadable {args.pattern} files in {directory}",
+              file=sys.stderr)
+        return 2
+    skipped = len(documents) < len(paths)
     environments = _parse_environments(args.environments)
     if args.sites:
-        return _serve_placement(args, documents, environments)
+        code = _serve_placement(args, documents, environments)
+        return 1 if skipped else code
     edit_script = (_load_edit_script(args.edit_script)
                    if args.edit_script else None)
-    engine = SessionEngine(engine=args.engine, seed=args.seed,
-                           kernel=args.kernel, faults=args.faults)
+    engine = SessionEngine(seed=args.seed, kernel=args.kernel,
+                           faults=args.faults)
     report = engine.serve(documents, environments,
                           sessions_per_pair=args.sessions,
                           replays=args.replays,
@@ -259,7 +272,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"  kernel={engine.kernel.name} workers={args.workers}")
     if args.interactive and engine.last_queue is not None:
         print(f"  {engine.last_queue.stats().describe()}")
-    return 0 if report.admitted else 1
+    return 0 if report.admitted and not skipped else 1
 
 
 def _serve_placement(args: argparse.Namespace, documents,
@@ -283,8 +296,7 @@ def _serve_placement(args: argparse.Namespace, documents,
                         seed=args.seed)
     workload = build_workload(spec, documents=documents,
                               faults=args.faults)
-    engine = SessionEngine(engine=args.engine, seed=args.seed,
-                           kernel=args.kernel,
+    engine = SessionEngine(seed=args.seed, kernel=args.kernel,
                            federation=workload.federation)
     reports = serve_workload(workload, environments,
                              policy=args.placement,
@@ -468,8 +480,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return 2
     from repro.kernel import resolve_kernel
     kernel = resolve_kernel(args.kernel)
-    report = ingest_corpus(paths, engine=args.engine,
-                           relaxation_policy=args.policy,
+    report = ingest_corpus(paths, relaxation_policy=args.policy,
                            compile_programs=not args.no_programs,
                            kernel=kernel, workers=args.workers,
                            faults=args.faults)
@@ -598,9 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--follows", type=int, default=2,
                        help="link follows per interactive reader's "
                             "scripted trace (default 2)")
-    serve.add_argument("--engine", choices=("graph", "reference"),
-                       default="graph",
-                       help="cold-path solver for cache misses")
     serve.add_argument("--generate", type=int, metavar="N",
                        help="first write N synthetic serving packages "
                             "into the directory")
@@ -724,10 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("directory")
     ingest.add_argument("--pattern", default="*.cmif",
                         help="glob for corpus files (default *.cmif)")
-    ingest.add_argument("--engine", choices=("graph", "reference"),
-                        default="graph",
-                        help="cold-path solver: compiled graph (default) "
-                             "or the object-form reference")
     ingest.add_argument("--policy", choices=("drop-last", "drop-widest"),
                         default="drop-last",
                         help="may-arc relaxation policy for the solve "

@@ -23,7 +23,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.errors import ValueError_
 from repro.core.timebase import MediaTime
@@ -203,8 +203,3 @@ _VALIDATORS = {
 def validate_value(kind: ValueKind, value: Any) -> Any:
     """Validate ``value`` against ``kind``, returning the normalized form."""
     return _VALIDATORS[kind](value)
-
-
-def coerce_values(kind: ValueKind, values: Iterable[Any]) -> tuple:
-    """Validate a sequence of values of one kind."""
-    return tuple(validate_value(kind, value) for value in values)

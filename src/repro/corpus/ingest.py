@@ -10,7 +10,8 @@ directory of CMIF text files through that pipeline, warms the
 reads, and accounts for every stage separately so throughput regressions
 point at the guilty layer.
 
-The schedule stage defaults to the compiled-graph engine
+The schedule stage solves through
+:func:`~repro.timing.schedule.schedule_for` and so the compiled graph
 (:mod:`repro.timing.graph`), which is bit-identical to the reference
 solver and the reason cold scheduling clears the ingest gate
 (``benchmarks/bench_ingest.py``).
@@ -54,9 +55,7 @@ from repro.format.parser import parse_document
 from repro.format.writer import write_document
 from repro.pipeline.program import PlaybackProgram, ProgramCache, \
     compile_program
-from repro.timing.schedule import (ENGINE_GRAPH, SCHEDULE_ENGINES,
-                                   Schedule, ScheduleCache,
-                                   schedule_document)
+from repro.timing.schedule import Schedule, ScheduleCache, schedule_for
 from repro.timing.solver import RELAX_DROP_LAST
 
 #: Pipeline stages, in execution order (the report preserves this).
@@ -127,7 +126,6 @@ class IngestFailure:
 class IngestReport:
     """The outcome of one corpus ingest, stage accounting included."""
 
-    engine: str
     documents: list[IngestedDocument] = field(default_factory=list)
     failures: list[IngestFailure] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(
@@ -174,7 +172,7 @@ class IngestReport:
         """The human report the ``ingest`` CLI subcommand prints."""
         attempted = self.document_count + len(self.failures)
         lines = [f"ingested {self.document_count}/{attempted} document(s), "
-                 f"{self.total_events} event(s), engine={self.engine}"]
+                 f"{self.total_events} event(s)"]
         for stage in INGEST_STAGES:
             seconds = self.stage_seconds[stage]
             if seconds <= 0.0:
@@ -209,7 +207,6 @@ def corpus_paths(directory: Path | str,
 
 
 def ingest_corpus(source: Path | str | Sequence[Path], *,
-                  engine: str = ENGINE_GRAPH,
                   relaxation_policy: str = RELAX_DROP_LAST,
                   channel_serialization: bool = True,
                   compile_programs: bool = True,
@@ -247,9 +244,6 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
     that shard serially, so the merged report matches the fault-free
     run.
     """
-    if engine not in SCHEDULE_ENGINES:
-        raise CmifError(f"unknown ingest engine {engine!r}; expected one "
-                        f"of {SCHEDULE_ENGINES}")
     if workers < 1:
         raise CmifError(f"ingest workers must be at least 1, "
                         f"got {workers}")
@@ -264,11 +258,11 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
         schedule_cache = ScheduleCache(capacity=max(len(paths), 1))
     if program_cache is None and compile_programs:
         program_cache = ProgramCache(capacity=max(len(paths), 1))
-    report = IngestReport(engine=engine, schedule_cache=schedule_cache,
+    report = IngestReport(schedule_cache=schedule_cache,
                           program_cache=program_cache)
     wall_start = time.perf_counter()
     if workers > 1 and len(paths) > 1:
-        done = _ingest_parallel(paths, report, workers, engine,
+        done = _ingest_parallel(paths, report, workers,
                                 relaxation_policy, channel_serialization,
                                 compile_programs, kernel, faults, retry)
     else:
@@ -276,7 +270,7 @@ def ingest_corpus(source: Path | str | Sequence[Path], *,
     if not done:
         stage_seconds = report.stage_seconds
         for path in paths:
-            entry = _ingest_document(path, report, stage_seconds, engine,
+            entry = _ingest_document(path, report, stage_seconds,
                                      relaxation_policy,
                                      channel_serialization,
                                      compile_programs, schedule_cache,
@@ -292,7 +286,7 @@ def _kernel_name(kernel) -> str | None:
     return getattr(kernel, "name", kernel)
 
 
-def _ingest_chunk(chunk: list[Path], engine: str, relaxation_policy: str,
+def _ingest_chunk(chunk: list[Path], relaxation_policy: str,
                   channel_serialization: bool, compile_programs: bool,
                   kernel, faults: FaultPlan | None,
                   retry: RetryPolicy) -> IngestReport:
@@ -302,8 +296,7 @@ def _ingest_chunk(chunk: list[Path], engine: str, relaxation_policy: str,
     them — the parent re-warms its own caches from the shipped
     documents so shard boundaries never show in cache contents.
     """
-    shard = ingest_corpus(chunk, engine=engine,
-                          relaxation_policy=relaxation_policy,
+    shard = ingest_corpus(chunk, relaxation_policy=relaxation_policy,
                           channel_serialization=channel_serialization,
                           compile_programs=compile_programs,
                           kernel=kernel, workers=1, faults=faults,
@@ -315,19 +308,18 @@ def _ingest_chunk(chunk: list[Path], engine: str, relaxation_policy: str,
 
 def _ingest_shard(args: tuple) -> IngestReport:
     """Worker entry: honour an injected crash, else ingest the chunk."""
-    (chunk, engine, relaxation_policy, channel_serialization,
-     compile_programs, kernel, faults, retry, crash) = args
+    (chunk, relaxation_policy, channel_serialization, compile_programs,
+     kernel, faults, retry, crash) = args
     if crash:
         # A planned worker crash: die the way a real worker does —
         # no exception, no cleanup, the pool just loses the process.
         os._exit(WORKER_CRASH_EXIT)
-    return _ingest_chunk(chunk, engine, relaxation_policy,
-                         channel_serialization, compile_programs, kernel,
-                         faults, retry)
+    return _ingest_chunk(chunk, relaxation_policy, channel_serialization,
+                         compile_programs, kernel, faults, retry)
 
 
 def _ingest_parallel(paths: list[Path], report: IngestReport,
-                     workers: int, engine: str, relaxation_policy: str,
+                     workers: int, relaxation_policy: str,
                      channel_serialization: bool, compile_programs: bool,
                      kernel, faults: FaultPlan | None,
                      retry: RetryPolicy) -> bool:
@@ -349,7 +341,7 @@ def _ingest_parallel(paths: list[Path], report: IngestReport,
     # them by shard index (in-pool attempt only) so the serial re-run
     # below cannot crash again.
     child_faults = None if faults is None else faults.without_crashes()
-    shard_args = [(chunks[index], engine, relaxation_policy,
+    shard_args = [(chunks[index], relaxation_policy,
                    channel_serialization, compile_programs,
                    _kernel_name(kernel), child_faults, retry,
                    faults is not None and faults.crashes_worker(index))
@@ -389,8 +381,7 @@ def _ingest_parallel(paths: list[Path], report: IngestReport,
         # identical regardless.
         robust.reshards += 1
         robust.resharded_items += len(chunks[index])
-        shards[index] = _ingest_chunk(chunks[index], engine,
-                                      relaxation_policy,
+        shards[index] = _ingest_chunk(chunks[index], relaxation_policy,
                                       channel_serialization,
                                       compile_programs, kernel,
                                       child_faults, retry)
@@ -419,7 +410,7 @@ def _ingest_parallel(paths: list[Path], report: IngestReport,
 
 
 def _ingest_document(path: Path, report: IngestReport,
-                     stage_seconds: dict[str, float], engine: str,
+                     stage_seconds: dict[str, float],
                      relaxation_policy: str, channel_serialization: bool,
                      compile_programs: bool, schedule_cache: ScheduleCache,
                      program_cache: ProgramCache | None, kernel,
@@ -435,7 +426,7 @@ def _ingest_document(path: Path, report: IngestReport,
     robust = report.robustness
     attempt = 0
     while True:
-        outcome = _ingest_one(path, report, stage_seconds, engine,
+        outcome = _ingest_one(path, report, stage_seconds,
                               relaxation_policy, channel_serialization,
                               compile_programs, schedule_cache,
                               program_cache, kernel, faults=faults,
@@ -460,7 +451,7 @@ def _ingest_document(path: Path, report: IngestReport,
 
 
 def _ingest_one(path: Path, report: IngestReport,
-                stage_seconds: dict[str, float], engine: str,
+                stage_seconds: dict[str, float],
                 relaxation_policy: str, channel_serialization: bool,
                 compile_programs: bool, schedule_cache: ScheduleCache,
                 program_cache: ProgramCache | None,
@@ -499,10 +490,10 @@ def _ingest_one(path: Path, report: IngestReport,
 
         stage = "solve"
         start = time.perf_counter()
-        schedule = schedule_document(
-            compiled, channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy, cache=schedule_cache,
-            engine=engine, kernel=kernel)
+        schedule = schedule_for(
+            document, cache=schedule_cache, compiled=compiled,
+            channel_serialization=channel_serialization,
+            relaxation_policy=relaxation_policy, kernel=kernel)
         stage_seconds["solve"] += time.perf_counter() - start
         stage_documents["solve"] += 1
         stage_events["solve"] += len(schedule.events)

@@ -241,7 +241,7 @@ def run_workload(workload: PlacementWorkload, *, policy="static",
 
 def serve_workload(workload: PlacementWorkload, environments, *,
                    policy="static", rebalance_every: int = 0,
-                   replays: int = 1, engine=None, **engine_kwargs):
+                   replays: int = 1, engine=None):
     """Serve the workload's request stream through a
     :class:`~repro.serving.engine.SessionEngine`.
 
@@ -257,8 +257,7 @@ def serve_workload(workload: PlacementWorkload, environments, *,
     from repro.serving.engine import SessionEngine
 
     if engine is None:
-        engine = SessionEngine(federation=workload.federation,
-                               **engine_kwargs)
+        engine = SessionEngine(federation=workload.federation)
     chosen = resolve_policy(policy)
     environments = list(environments)
     batch = (rebalance_every if rebalance_every

@@ -4,8 +4,7 @@ Every hot numeric path — the :class:`~repro.pipeline.program.BatchPlayer`
 inner loop, the :func:`~repro.timing.graph.solve_graph` relaxation
 sweeps, the planner's inverted-index set operations — runs against a
 *kernel*: either the pure-Python reference backend or the NumPy
-vectorized backend, selected by the ``kernel=`` axis exactly like the
-schedule layer's ``engine=`` axis:
+vectorized backend, selected by the ``kernel=`` axis:
 
 * ``"auto"`` (the default) picks NumPy when it is importable, else the
   Python backend — so the package has **no hard NumPy dependency**;

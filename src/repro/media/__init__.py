@@ -11,7 +11,7 @@ pixels or samples.
 from repro.media.audio import (clip_samples, downsample, make_audio_block,
                                merge_channels, rms_level,
                                synthesize_samples)
-from repro.media.image import (crop_image, image_stats, make_image_block,
+from repro.media.image import (crop_image, make_image_block,
                                reduce_color_depth, scale_image,
                                synthesize_image, to_monochrome)
 from repro.media.text import (generate_paragraph, generate_sentence,
@@ -22,7 +22,7 @@ from repro.media.video import (make_video_block, scale_frames, slice_frames,
 
 __all__ = [
     "clip_samples", "crop_image", "downsample", "generate_paragraph",
-    "generate_sentence", "image_stats", "make_audio_block",
+    "generate_sentence", "make_audio_block",
     "make_image_block", "make_text_block", "make_video_block",
     "merge_channels",
     "reading_duration_ms", "reduce_color_depth", "rms_level",

@@ -117,12 +117,3 @@ def scale_image(image: np.ndarray, target_width: int,
     row_index = (np.arange(target_height) * height // target_height)
     column_index = (np.arange(target_width) * width // target_width)
     return image[row_index][:, column_index].copy()
-
-
-def image_stats(image: np.ndarray) -> dict[str, float]:
-    """Mean/min/max summary used by tests to verify transformations."""
-    return {
-        "mean": float(np.mean(image)),
-        "min": float(np.min(image)),
-        "max": float(np.max(image)),
-    }

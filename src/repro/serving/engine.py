@@ -13,8 +13,8 @@ once and shares it:
   requirement-profile walk per document revision, reused by every
   environment's negotiation;
 * :class:`~repro.timing.schedule.ScheduleCache` — one constraint solve
-  per document revision (cold solves default to the compiled graph
-  engine of PR 4), shared across all environments;
+  per document revision (through the compiled graph), shared across all
+  environments;
 * :class:`~repro.pipeline.program.ProgramCache` — one base playback
   program per schedule plus one compiled adaptation per environment
   fingerprint (:func:`~repro.pipeline.adaptation.adapted_program_for`);
@@ -53,9 +53,9 @@ from repro.pipeline.navprogram import random_trace
 from repro.pipeline.patch import EditRecord, LiveEditor
 from repro.pipeline.program import BatchPlayer, PlaybackProgram, \
     ProgramCache
-from repro.timing.schedule import (ENGINE_GRAPH, ENGINE_REFERENCE,
-                                   SCHEDULE_ENGINES, Schedule,
-                                   ScheduleCache, schedule_for)
+from repro.timing.schedule import (ENGINE_REFERENCE, Schedule,
+                                   ScheduleCache, schedule_document,
+                                   schedule_for)
 from repro.transport.environments import SystemEnvironment
 from repro.transport.negotiate import negotiate
 from repro.transport.requirements import RequirementsCache
@@ -68,6 +68,12 @@ from repro.serving.session import (FILTERABLE, PLAYABLE,
 #: Distinct (program, environment) batch players kept live; each holds
 #: per-configuration transform caches, so the table is LRU-bounded.
 PLAYER_CACHE_CAPACITY = 128
+
+#: Document revisions whose schedule and requirement profile stay
+#: cached, and compiled programs (base plus per-environment
+#: compositions) kept alongside them.
+SCHEDULE_CACHE_CAPACITY = 128
+PROGRAM_CACHE_CAPACITY = 512
 
 
 @dataclass
@@ -282,20 +288,9 @@ def _drive_shard_guarded(args: tuple
 class SessionEngine:
     """Admit, adapt and replay sessions across shared compiled caches."""
 
-    def __init__(self, *, engine: str = ENGINE_GRAPH, seed: int = 0,
-                 prefetch_lead_ms: float = 0.0,
-                 schedule_cache: ScheduleCache | None = None,
-                 program_cache: ProgramCache | None = None,
-                 requirements_cache: RequirementsCache | None = None,
-                 schedule_capacity: int = 128,
-                 program_capacity: int = 512,
-                 kernel=None,
+    def __init__(self, *, seed: int = 0, kernel=None,
                  faults: FaultPlan | str | None = None,
                  federation=None) -> None:
-        if engine not in SCHEDULE_ENGINES:
-            raise ValueError_(f"unknown schedule engine {engine!r}; "
-                              f"expected one of {SCHEDULE_ENGINES}")
-        self.engine = engine
         self.kernel = resolve_kernel(kernel)
         #: Fault plan for this engine's sessions (explicit, a spec
         #: string, or the ``REPRO_FAULTS`` environment default).
@@ -303,15 +298,10 @@ class SessionEngine:
         #: Lifetime fault/recovery ledger (``serve`` reports deltas).
         self.robustness = RobustnessStats()
         self.seed = seed
-        self.prefetch_lead_ms = prefetch_lead_ms
-        self.schedule_cache = (schedule_cache if schedule_cache is not None
-                               else ScheduleCache(
-                                   capacity=schedule_capacity))
-        self.program_cache = (program_cache if program_cache is not None
-                              else ProgramCache(capacity=program_capacity))
-        self.requirements_cache = (
-            requirements_cache if requirements_cache is not None
-            else RequirementsCache(capacity=schedule_capacity))
+        self.schedule_cache = ScheduleCache(capacity=SCHEDULE_CACHE_CAPACITY)
+        self.program_cache = ProgramCache(capacity=PROGRAM_CACHE_CAPACITY)
+        self.requirements_cache = RequirementsCache(
+            capacity=SCHEDULE_CACHE_CAPACITY)
         self.stats: dict[str, EnvironmentStats] = {}
         self.session_count = 0
         #: The most recent drive's run queue (scheduler observability).
@@ -351,7 +341,6 @@ class SessionEngine:
             self._players.move_to_end(key)
             return entry[1]
         player = BatchPlayer(schedule, environment, seed=self.seed,
-                             prefetch_lead_ms=self.prefetch_lead_ms,
                              program=program, kernel=self.kernel)
         self._players[key] = (program, player)
         self._players.move_to_end(key)
@@ -500,19 +489,21 @@ class SessionEngine:
         if plan is not None and plan.fires(plan.solve_failure_rate,
                                            "solve", self.session_count):
             # The compiled solver "failed" for this admission: degrade
-            # to the retained interpretive reference engine, which is
+            # to the retained object-form reference solver, which is
             # pinned bit-identical — the session is admitted with the
             # exact same schedule, only the ledger shows the downgrade.
             self.robustness.record_fault("solve")
             self.robustness.degraded_solves += 1
             self.robustness.recovered += 1
-            schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=ENGINE_REFERENCE,
-                                    kernel=self.kernel, compiled=compiled)
+            schedule = self.schedule_cache.get(document)
+            if schedule is None:
+                schedule = schedule_document(
+                    compiled if compiled is not None
+                    else document.compile(), engine=ENGINE_REFERENCE)
+                self.schedule_cache.put(document, schedule)
         else:
             schedule = schedule_for(document, cache=self.schedule_cache,
-                                    engine=self.engine, kernel=self.kernel,
-                                    compiled=compiled)
+                                    kernel=self.kernel, compiled=compiled)
         program = adapted_program_for(schedule, environment,
                                       program_cache=self.program_cache,
                                       requirements=requirements)
@@ -860,7 +851,7 @@ class SessionEngine:
 
     def describe(self) -> str:
         lines = [f"session engine: {self.session_count} session(s) "
-                 f"admitted or rejected, engine={self.engine}"]
+                 f"admitted or rejected"]
         lines.extend(f"  {stats.describe()}"
                      for stats in self.stats.values())
         lines.append(f"  {self.requirements_cache.describe()}")

@@ -17,8 +17,7 @@ from repro.timing.constraints import (Constraint, ConstraintDelta,
                                       ConstraintSystem, TimeVar, VarKind,
                                       add_arc_delta, anchor_var, arc_table,
                                       begin_var, build_constraints, end_var,
-                                      remove_arc_delta, retime_delta,
-                                      structural_delta)
+                                      remove_arc_delta, retime_delta)
 from repro.timing.graph import (ConstraintGraph, compile_graph,
                                 solve_graph)
 from repro.timing.incremental import EngineStats, IncrementalScheduler
@@ -51,5 +50,5 @@ __all__ = [
     "diagnose_authoring", "end_var", "event_order",
     "invalid_arcs_after_seek", "make_schedule", "remove_arc_delta",
     "retime_delta", "schedule_document", "schedule_for", "solve",
-    "solve_graph", "structural_delta", "times_close", "wrap_event",
+    "solve_graph", "times_close", "wrap_event",
 ]

@@ -448,19 +448,6 @@ def remove_arc_delta(index: ConstraintIndex,
                            reason="remove arc")
 
 
-def structural_delta(operation: str, subject: str) -> ConstraintDelta:
-    """The delta for topology edits (reorder, splice, duplicate, remove).
-
-    Moving or deleting subtrees renames positional node paths and
-    reshuffles the per-channel event order, invalidating constraints far
-    from the edit site — the cases the incremental engine hands back to a
-    full rebuild.
-    """
-    return ConstraintDelta(
-        full_rebuild=True,
-        reason=f"{operation} {subject}: topology change")
-
-
 def arc_table(compiled: CompiledDocument, *,
               channel_serialization: bool = True) -> list[dict[str, str]]:
     """The figure-9 tabular rendering of every constraint in a document.

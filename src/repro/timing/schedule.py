@@ -22,9 +22,10 @@ from repro.timing.constraints import (Constraint, TimeVar, begin_var,
 from repro.timing.graph import compile_graph, solve_graph
 from repro.timing.solver import (RELAX_DROP_LAST, SolverResult, solve)
 
-#: Cold-path solve engines: the pinned object-form reference, and the
-#: compiled-graph lowering (bit-identical, benched >=5x on corpus
-#: documents — see benchmarks/bench_ingest.py).
+#: :func:`schedule_document` engines: the compiled graph every
+#: production path solves through, and the pinned object-form reference
+#: kept as the oracle (bit-identical; the graph is benched >=5x faster
+#: on corpus documents — see benchmarks/bench_ingest.py).
 ENGINE_REFERENCE = "reference"
 ENGINE_GRAPH = "graph"
 SCHEDULE_ENGINES = (ENGINE_REFERENCE, ENGINE_GRAPH)
@@ -240,9 +241,11 @@ class ScheduleCache:
     key.  Entries hold a reference to their document, which both pins
     the identity and keeps ``id()`` reuse impossible.
 
-    The incremental engine (:mod:`repro.timing.incremental`) publishes
-    its patched schedule here after every edit, so cache consumers get
-    incremental re-solves for free.
+    The cache is a plain store: :func:`schedule_for` is the one function
+    that solves on a miss and fills it.  The incremental engine
+    (:mod:`repro.timing.incremental`) publishes its patched schedule
+    here after every edit, so cache consumers get incremental re-solves
+    for free.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -295,37 +298,6 @@ class ScheduleCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def schedule_for(self, document: CmifDocument, *,
-                     channel_serialization: bool = True,
-                     relaxation_policy: str = RELAX_DROP_LAST,
-                     engine: str = ENGINE_REFERENCE,
-                     kernel=None,
-                     compiled: CompiledDocument | None = None) -> Schedule:
-        """The document's schedule, compiled and solved at most once.
-
-        On a miss this pays the full compile → build → solve → wrap
-        pipeline; every further call at the same revision is a lookup.
-        The two engines (and both kernels) are bit-identical, so the
-        key ignores ``engine`` and ``kernel`` and a graph-warmed entry
-        (corpus ingest) serves reference-path consumers directly.
-        ``compiled`` is the caller's ``document.compile()`` at the
-        current revision, used on a miss instead of compiling again.
-        """
-        cached = self.get(document,
-                          channel_serialization=channel_serialization,
-                          relaxation_policy=relaxation_policy)
-        if cached is not None:
-            return cached
-        schedule = schedule_document(
-            compiled if compiled is not None else document.compile(),
-            channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy,
-            engine=engine, kernel=kernel)
-        self.put(document, schedule,
-                 channel_serialization=channel_serialization,
-                 relaxation_policy=relaxation_policy)
-        return schedule
-
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         self._entries.clear()
@@ -341,46 +313,33 @@ class ScheduleCache:
 def schedule_document(compiled: CompiledDocument, *,
                       channel_serialization: bool = True,
                       relaxation_policy: str = RELAX_DROP_LAST,
-                      cache: ScheduleCache | None = None,
-                      engine: str = ENGINE_REFERENCE,
+                      engine: str = ENGINE_GRAPH,
                       kernel=None) -> Schedule:
-    """Compile-to-timeline in one call: build constraints, solve, wrap.
+    """Compile-to-timeline in one call: lower, solve, wrap — no cache.
 
-    This is the main scheduling entry point used by the player, viewer
-    and benches.  With ``cache``, the solve is skipped whenever the
-    document's revision already has a schedule.  ``engine`` selects the
-    cold-path solver: ``"reference"`` is the pinned object-form solve,
-    ``"graph"`` the compiled-graph lowering
-    (:mod:`repro.timing.graph`) — bit-identical output, so cache keys
-    deliberately ignore the engine.  ``kernel`` picks the numeric
-    backend for the graph engine's relaxation sweeps (the ``kernel=``
-    axis, :mod:`repro.kernel`) — also bit-identical, also absent from
-    cache keys.
+    Production code solves through the compiled graph
+    (:mod:`repro.timing.graph`) and reaches this function through
+    :func:`schedule_for`.  ``engine=ENGINE_REFERENCE`` runs the pinned
+    object-form :func:`~repro.timing.solver.solve` instead: it is the
+    oracle the equivalence tests and benchmark checks compare against,
+    and the solver the serving fault-degradation paths fall back to.
+    The two are bit-identical.  ``kernel`` picks the numeric backend
+    for the graph solve's relaxation sweeps (:mod:`repro.kernel`; also
+    bit-identical).
     """
-    if engine not in SCHEDULE_ENGINES:
-        raise ValueError_(f"unknown schedule engine {engine!r}; expected "
-                          f"one of {SCHEDULE_ENGINES}")
-    if cache is not None:
-        cached = cache.get(compiled.document,
-                           channel_serialization=channel_serialization,
-                           relaxation_policy=relaxation_policy)
-        if cached is not None:
-            return cached
     if engine == ENGINE_GRAPH:
         graph = compile_graph(
             compiled, channel_serialization=channel_serialization)
         result = solve_graph(graph, relaxation_policy=relaxation_policy,
                              kernel=kernel)
-    else:
+    elif engine == ENGINE_REFERENCE:
         system = build_constraints(
             compiled, channel_serialization=channel_serialization)
         result = solve(system, relaxation_policy=relaxation_policy)
-    schedule = make_schedule(compiled, result)
-    if cache is not None:
-        cache.put(compiled.document, schedule,
-                  channel_serialization=channel_serialization,
-                  relaxation_policy=relaxation_policy)
-    return schedule
+    else:
+        raise ValueError_(f"unknown schedule engine {engine!r}; expected "
+                          f"one of {SCHEDULE_ENGINES}")
+    return make_schedule(compiled, result)
 
 
 def wrap_event(event: EventDescriptor,
@@ -429,23 +388,31 @@ def schedule_for(document: CmifDocument, *,
                  cache: ScheduleCache | None = None,
                  channel_serialization: bool = True,
                  relaxation_policy: str = RELAX_DROP_LAST,
-                 engine: str = ENGINE_REFERENCE,
                  kernel=None,
                  compiled: CompiledDocument | None = None) -> Schedule:
-    """The document's schedule, through a cache when one is given.
+    """The document's schedule, solved at most once per revision.
 
-    The one cache-or-solve branch the player, viewer and CLI share.
-    ``compiled``, when given, is ``document.compile()`` at the current
-    revision and stands in for compiling again.
+    The one cache-or-solve function: the player, viewer, CLI, ingest
+    and serving paths all schedule through it.  With ``cache``, a
+    schedule already stored for the document's current revision is
+    returned as is; a miss (or no cache) pays compile → graph solve →
+    wrap and stores the result.  ``compiled``, when given, is
+    ``document.compile()`` at the current revision and stands in for
+    compiling again.  ``kernel`` is absent from cache keys: both
+    kernels are bit-identical.
     """
     if cache is not None:
-        return cache.schedule_for(
-            document, channel_serialization=channel_serialization,
-            relaxation_policy=relaxation_policy, engine=engine,
-            kernel=kernel, compiled=compiled)
-    if compiled is None:
-        compiled = document.compile()
-    return schedule_document(
-        compiled, channel_serialization=channel_serialization,
-        relaxation_policy=relaxation_policy, engine=engine,
-        kernel=kernel)
+        cached = cache.get(document,
+                           channel_serialization=channel_serialization,
+                           relaxation_policy=relaxation_policy)
+        if cached is not None:
+            return cached
+    schedule = schedule_document(
+        compiled if compiled is not None else document.compile(),
+        channel_serialization=channel_serialization,
+        relaxation_policy=relaxation_policy, kernel=kernel)
+    if cache is not None:
+        cache.put(document, schedule,
+                  channel_serialization=channel_serialization,
+                  relaxation_policy=relaxation_policy)
+    return schedule

@@ -340,6 +340,64 @@ def _pick_relaxable(cycle: list[Constraint],
     return candidates[-1]
 
 
+def _relax_until_feasible(outgoing: list[list[tuple[int, float,
+                                                     Constraint]]],
+                          index: dict[TimeVar, int], dist: list[float],
+                          predecessor: list["Constraint | None"], *,
+                          relaxation_policy: str, budget: int,
+                          cleanup: str = CLEANUP_RANKED
+                          ) -> tuple[set[int], list[Constraint], int]:
+    """The may-relaxation loop :func:`solve` and
+    :class:`IncrementalSolver` share.
+
+    Each attempt resets ``dist``/``predecessor`` in place and relaxes
+    the whole graph; a certified positive cycle drops one of its may
+    constraints (per ``relaxation_policy``, at most ``budget`` in all)
+    and retries, a cycle with none left to drop raises
+    :class:`SchedulingConflict`.  On return ``dist`` and ``predecessor``
+    hold the solution; the result is ``(skipped constraint ids,
+    dropped constraints in drop order, attempts)``.
+    """
+    count = len(dist)
+    skipped: set[int] = set()
+    dropped: list[Constraint] = []
+    iterations = 0
+    while True:
+        iterations += 1
+        dist[:] = [0.0] * count   # every event starts no earlier than root
+        predecessor[:] = [None] * count
+        rank = [count + node for node in range(count)]
+        try:
+            # Phase 1: one pass in topological order of the non-negative
+            # edges.  Real documents are almost pure DAGs there (upper
+            # bounds are the only negative edges), so this settles nearly
+            # every variable with exactly one relaxation per edge.
+            dirty = _topological_pass(outgoing, dist, predecessor, None,
+                                      count, skipped, rank)
+            # Phase 2: cleanup for whatever phase 1 cannot order —
+            # binding upper bounds and variables on (zero or positive)
+            # cycles — with the positive-cycle certificate for the
+            # latter.  On clean documents this costs nothing.
+            if dirty:
+                if cleanup == CLEANUP_RANKED:
+                    _ranked_cleanup(outgoing, dist, predecessor, rank,
+                                    dirty, index, skipped)
+                else:
+                    _spfa(outgoing, dist, predecessor, dirty, index,
+                          skipped)
+            return skipped, dropped, iterations
+        except _Infeasible as infeasible:
+            victim = _pick_relaxable(infeasible.cycle, relaxation_policy)
+            if victim is None or len(dropped) >= budget:
+                raise SchedulingConflict(
+                    "unsatisfiable synchronization constraints "
+                    "(conflict class 1, section 5.3.3): "
+                    + "; ".join(c.describe() for c in infeasible.cycle),
+                    cycle=infeasible.cycle) from None
+            skipped.add(id(victim))
+            dropped.append(victim)
+
+
 def solve(system: ConstraintSystem, *,
           relaxation_policy: str = RELAX_DROP_LAST,
           max_relaxations: int | None = None,
@@ -370,48 +428,17 @@ def solve(system: ConstraintSystem, *,
     relaxable_total = sum(1 for c in system.constraints if c.relaxable)
     budget = (relaxable_total if max_relaxations is None
               else min(max_relaxations, relaxable_total))
-    outgoing = _build_adjacency(system)
-    index = system.var_index
     count = len(system.variables)
-    skipped: set[int] = set()
-    dropped: list[Constraint] = []
-    iterations = 0
-    while True:
-        iterations += 1
-        dist = [0.0] * count      # every event starts no earlier than root
-        predecessor: list[Constraint | None] = [None] * count
-        rank = [count + node for node in range(count)]
-        try:
-            # Phase 1: one pass in topological order of the non-negative
-            # edges.  Real documents are almost pure DAGs there (upper
-            # bounds are the only negative edges), so this settles nearly
-            # every variable with exactly one relaxation per edge.
-            dirty = _topological_pass(outgoing, dist, predecessor, None,
-                                      count, skipped, rank)
-            # Phase 2: cleanup for whatever phase 1 cannot order —
-            # binding upper bounds and variables on (zero or positive)
-            # cycles — with the positive-cycle certificate for the
-            # latter.  On clean documents this costs nothing.
-            if dirty:
-                if cleanup == CLEANUP_RANKED:
-                    _ranked_cleanup(outgoing, dist, predecessor, rank,
-                                    dirty, index, skipped)
-                else:
-                    _spfa(outgoing, dist, predecessor, dirty, index,
-                          skipped)
-            times = {var: dist[index[var]] for var in system.variables}
-            return SolverResult(times_ms=times, dropped=dropped,
-                                iterations=iterations)
-        except _Infeasible as infeasible:
-            victim = _pick_relaxable(infeasible.cycle, relaxation_policy)
-            if victim is None or len(dropped) >= budget:
-                raise SchedulingConflict(
-                    "unsatisfiable synchronization constraints "
-                    "(conflict class 1, section 5.3.3): "
-                    + "; ".join(c.describe() for c in infeasible.cycle),
-                    cycle=infeasible.cycle) from None
-            skipped.add(id(victim))
-            dropped.append(victim)
+    dist = [0.0] * count
+    predecessor: list[Constraint | None] = [None] * count
+    index = system.var_index
+    _skipped, dropped, iterations = _relax_until_feasible(
+        _build_adjacency(system), index, dist, predecessor,
+        relaxation_policy=relaxation_policy, budget=budget,
+        cleanup=cleanup)
+    times = {var: dist[index[var]] for var in system.variables}
+    return SolverResult(times_ms=times, dropped=dropped,
+                        iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -544,42 +571,21 @@ class IncrementalSolver:
 
     def _full_resolve(self) -> None:
         """From-scratch solve with the may-relaxation loop of :func:`solve`."""
-        count = len(self._dist)
         self._dependents = None    # every predecessor is about to change
         relaxable_total = sum(
             1 for constraint in self.system.constraints
             if constraint.relaxable)
-        skipped: set[int] = set()
-        dropped: list[Constraint] = []
-        iterations = 0
-        while True:
-            iterations += 1
-            self._dist[:] = [0.0] * count
-            self._pred[:] = [None] * count
-            rank = [count + node for node in range(count)]
-            try:
-                dirty = _topological_pass(self._outgoing, self._dist,
-                                          self._pred, None, count, skipped,
-                                          rank)
-                if dirty:
-                    # Ranked cleanup, like solve()'s default: the engine's
-                    # fallback solves must pick the same cycles (hence the
-                    # same may drops) as a from-scratch reference solve.
-                    _ranked_cleanup(self._outgoing, self._dist, self._pred,
-                                    rank, dirty, self._index, skipped)
-                break
-            except _Infeasible as infeasible:
-                victim = _pick_relaxable(infeasible.cycle,
-                                         self.relaxation_policy)
-                if victim is None or len(dropped) >= relaxable_total:
-                    self._conflict = SchedulingConflict(
-                        "unsatisfiable synchronization constraints "
-                        "(conflict class 1, section 5.3.3): "
-                        + "; ".join(c.describe() for c in infeasible.cycle),
-                        cycle=infeasible.cycle)
-                    raise self._conflict from None
-                skipped.add(id(victim))
-                dropped.append(victim)
+        try:
+            # Ranked cleanup, like solve()'s default: the engine's
+            # fallback solves must pick the same cycles (hence the same
+            # may drops) as a from-scratch reference solve.
+            skipped, dropped, iterations = _relax_until_feasible(
+                self._outgoing, self._index, self._dist, self._pred,
+                relaxation_policy=self.relaxation_policy,
+                budget=relaxable_total)
+        except SchedulingConflict as conflict:
+            self._conflict = conflict
+            raise
         self._dropped = dropped
         self._skipped = skipped
         self._iterations = iterations

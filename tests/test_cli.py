@@ -221,6 +221,28 @@ class TestServe:
                      "--environments", "cray"]) == 2
         assert "unknown environment" in capsys.readouterr().err
 
+    def test_serve_skips_a_corrupt_package(self, tmp_path, capsys):
+        directory = tmp_path / "catalog"
+        assert main(["serve", str(directory), "--generate", "4",
+                     "--events", "12"]) == 0
+        capsys.readouterr()
+        broken = sorted(directory.glob("*.cmif*"))[1]
+        broken.write_text(broken.read_text(encoding="utf-8")[:300],
+                          encoding="utf-8")
+        assert main(["serve", str(directory)]) == 1
+        captured = capsys.readouterr()
+        assert f"skipped {broken.name}: " in captured.err
+        assert "served 3 document(s)" in captured.out
+
+    def test_serve_errors_when_no_package_loads(self, tmp_path, capsys):
+        directory = tmp_path / "catalog"
+        directory.mkdir()
+        (directory / "only.cmifpkg").write_text("{", encoding="utf-8")
+        assert main(["serve", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert "skipped only.cmifpkg: " in err
+        assert "no loadable" in err
+
     def test_serve_missing_directory_errors(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope")]) == 2
         assert "not a directory" in capsys.readouterr().err

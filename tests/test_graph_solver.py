@@ -16,9 +16,10 @@ from repro.core.errors import SchedulingConflict, ValueError_
 from repro.core.timebase import MediaTime
 from repro.corpus import (make_deep_document, make_flat_document,
                           make_news_document, make_random_document)
-from repro.timing import (ENGINE_GRAPH, RELAX_DROP_LAST, RELAX_DROP_WIDEST,
-                          ScheduleCache, build_constraints, check_solution,
-                          compile_graph, schedule_document, solve,
+from repro.timing import (ENGINE_REFERENCE, RELAX_DROP_LAST,
+                          RELAX_DROP_WIDEST, ScheduleCache,
+                          build_constraints, check_solution, compile_graph,
+                          schedule_document, schedule_for, solve,
                           solve_graph)
 
 POLICIES = (RELAX_DROP_LAST, RELAX_DROP_WIDEST)
@@ -218,8 +219,8 @@ class TestScheduleEngine:
     def test_graph_engine_schedule_identical(self):
         document = make_random_document(5, events=60, arc_fraction=0.5)
         compiled = document.compile()
-        reference = schedule_document(compiled)
-        graph = schedule_document(compiled, engine=ENGINE_GRAPH)
+        reference = schedule_document(compiled, engine=ENGINE_REFERENCE)
+        graph = schedule_document(compiled)
         assert graph.times_ms == reference.times_ms
         assert ([str(event) for event in graph.events]
                 == [str(event) for event in reference.events])
@@ -228,11 +229,12 @@ class TestScheduleEngine:
     def test_engines_share_cache_entries(self):
         document = make_flat_document(10)
         cache = ScheduleCache()
-        warmed = schedule_document(document.compile(), cache=cache,
-                                   engine=ENGINE_GRAPH)
-        served = schedule_document(document.compile(), cache=cache)
+        warmed = schedule_for(document, cache=cache)
+        served = schedule_for(document, cache=cache)
         assert served is warmed
         assert cache.hits == 1
+        assert warmed.times_ms == schedule_document(
+            document.compile(), engine=ENGINE_REFERENCE).times_ms
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError_, match="engine"):

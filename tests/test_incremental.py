@@ -23,10 +23,12 @@ from repro.core.edit import add_arc, remove_arc, retime
 from repro.core.errors import SchedulingConflict, StructureError
 from repro.core.syncarc import Strictness, SyncArc
 from repro.core.timebase import MediaTime
-from repro.timing import (ConstraintIndex, IncrementalScheduler,
-                          IncrementalSolver, ScheduleCache,
-                          build_constraints, check_solution,
-                          retime_delta, schedule_document, solve)
+from repro.timing import (ENGINE_REFERENCE, RELAX_DROP_LAST,
+                          RELAXATION_POLICIES, ConstraintIndex,
+                          IncrementalScheduler, IncrementalSolver,
+                          ScheduleCache, build_constraints, check_solution,
+                          retime_delta, schedule_document, schedule_for,
+                          solve)
 
 _MEDIA = ("video", "audio", "image", "text")
 
@@ -53,12 +55,13 @@ def _make_document(seed: int, *, sections: int = 6,
     return builder.build(validate=False)
 
 
-def _reference(document):
-    return schedule_document(document.compile())
+def _reference(document, policy=RELAX_DROP_LAST):
+    return schedule_document(document.compile(), relaxation_policy=policy,
+                             engine=ENGINE_REFERENCE)
 
 
-def _assert_identical(engine, document):
-    reference = _reference(document)
+def _assert_identical(engine, document, policy=RELAX_DROP_LAST):
+    reference = _reference(document, policy)
     schedule = engine.schedule
     assert schedule.times_ms == reference.times_ms
     assert ([(e.event.node_path, e.begin_ms, e.end_ms)
@@ -186,9 +189,41 @@ def _two_leaf_document():
     return builder.build(validate=False)
 
 
-def test_may_arc_conflict_falls_back_and_matches():
+def _may_conflicted_document():
+    """Three events in sequence and three may arcs that cannot all hold.
+
+    The relaxation policies resolve it differently: drop-last gives up
+    all three arcs, drop-widest only the two upper windows.
+    """
+    builder = DocumentBuilder("trio", root_kind="seq")
+    builder.channel("c", "text")
+    for name in "abc":
+        builder.imm(name, channel="c", data=name,
+                    duration=MediaTime.ms(1000))
+    document = builder.build(validate=False)
+    for source, destination, offset, window in (("a", "c", 0.0, 1500.0),
+                                                ("b", "c", 0.0, 200.0),
+                                                ("a", "b", 1500.0, None)):
+        add_arc(document, "/", SyncArc(
+            source=source, destination=destination,
+            strictness=Strictness.MAY, offset=MediaTime.ms(offset),
+            min_delay=MediaTime.ms(0.0),
+            max_delay=(MediaTime.ms(window) if window is not None
+                       else None)))
+    return document
+
+
+def _assert_same_result(mine, theirs):
+    assert mine.times_ms == theirs.times_ms
+    assert ([c.describe() for c in mine.dropped]
+            == [c.describe() for c in theirs.dropped])
+    assert mine.iterations == theirs.iterations
+
+
+@pytest.mark.parametrize("policy", RELAXATION_POLICIES)
+def test_may_arc_conflict_falls_back_and_matches(policy):
     document = _two_leaf_document()
-    engine = IncrementalScheduler(document)
+    engine = IncrementalScheduler(document, relaxation_policy=policy)
     # b must start 1000ms after a ends (seq), but the may arc wants it
     # within 500ms of a's begin: a positive cycle through the may upper
     # bound, resolvable only by dropping it.
@@ -198,7 +233,9 @@ def test_may_arc_conflict_falls_back_and_matches():
                                 max_delay=MediaTime.ms(500.0)))
     assert engine.stats.fallbacks == 1
     assert len(engine.schedule.dropped_constraints) == 1
-    _assert_identical(engine, document)
+    _assert_identical(engine, document, policy)
+    assert (engine.schedule.solver_iterations
+            == _reference(document, policy).solver_iterations)
 
 
 def test_degraded_documents_keep_full_solving():
@@ -241,12 +278,14 @@ def test_must_conflict_raises_and_recovers():
 # -- solver-level API --------------------------------------------------------
 
 
-def test_incremental_solver_matches_solve_exactly():
+@pytest.mark.parametrize("policy", RELAXATION_POLICIES)
+def test_incremental_solver_matches_solve_exactly(policy):
     document = _make_document(7)
     system = build_constraints(document.compile())
-    solver = IncrementalSolver(system)
-    assert solver.result.times_ms == solve(
-        build_constraints(document.compile())).times_ms
+    solver = IncrementalSolver(system, relaxation_policy=policy)
+    _assert_same_result(solver.result,
+                        solve(build_constraints(document.compile()),
+                              relaxation_policy=policy))
 
     index = ConstraintIndex(system)
     path = _leaf_paths(document)[3]
@@ -255,10 +294,34 @@ def test_incremental_solver_matches_solve_exactly():
     outcome = solver.apply(delta)
     assert outcome.mode == "incremental"
     retime(document, path, 1234.0)
-    reference = solve(build_constraints(document.compile()))
+    reference = solve(build_constraints(document.compile()),
+                      relaxation_policy=policy)
     assert solver.result.times_ms == reference.times_ms
     # changed set is sound: every var whose time moved is reported
     assert outcome.changed is not None
+
+    # May relaxation: the same victims, in the same order, in the same
+    # number of attempts as solve() under this policy.
+    conflicted = _may_conflicted_document()
+    _assert_same_result(
+        IncrementalSolver(build_constraints(conflicted.compile()),
+                          relaxation_policy=policy).result,
+        solve(build_constraints(conflicted.compile()),
+              relaxation_policy=policy))
+
+    # A must cycle: the same conflict message and cycle.
+    must = _two_leaf_document()
+    add_arc(must, "/", SyncArc(source="a", destination="b",
+                               min_delay=MediaTime.ms(0.0),
+                               max_delay=MediaTime.ms(500.0)))
+    with pytest.raises(SchedulingConflict) as expected:
+        solve(build_constraints(must.compile()), relaxation_policy=policy)
+    with pytest.raises(SchedulingConflict) as actual:
+        IncrementalSolver(build_constraints(must.compile()),
+                          relaxation_policy=policy)
+    assert str(actual.value) == str(expected.value)
+    assert ([c.describe() for c in actual.value.cycle]
+            == [c.describe() for c in expected.value.cycle])
 
 
 def test_removal_sequences_keep_dependents_index_consistent():
@@ -327,12 +390,12 @@ def test_edits_bump_revision():
 def test_schedule_cache_hits_and_invalidation():
     document = _make_document(10)
     cache = ScheduleCache()
-    first = cache.schedule_for(document)
-    again = cache.schedule_for(document)
+    first = schedule_for(document, cache=cache)
+    again = schedule_for(document, cache=cache)
     assert again is first
     assert (cache.hits, cache.misses) == (1, 1)
     retime(document, _leaf_paths(document)[0], 450.0)
-    fresh = cache.schedule_for(document)
+    fresh = schedule_for(document, cache=cache)
     assert fresh is not first
     assert cache.misses == 2
 
@@ -352,6 +415,6 @@ def test_schedule_cache_capacity_is_bounded():
     documents = [_make_document(s, sections=2, events_per=6)
                  for s in range(4)]
     for document in documents:
-        cache.schedule_for(document)
+        schedule_for(document, cache=cache)
     assert len(cache) == 2
     assert cache.get(documents[-1]) is not None

@@ -496,15 +496,20 @@ class TestWorkloadDeterminism:
 
 class TestServingAffinity:
     def test_reports_identical_traffic_differs(self):
+        from repro.serving import SessionEngine
         from repro.transport.environments import WORKSTATION
         static_load = build_workload(SMALL)
-        static = serve_workload(static_load, [WORKSTATION],
-                                policy="static", rebalance_every=40,
-                                seed=3)
+        static = serve_workload(
+            static_load, [WORKSTATION], policy="static",
+            rebalance_every=40,
+            engine=SessionEngine(federation=static_load.federation,
+                                 seed=3))
         placed_load = build_workload(SMALL)
-        placed = serve_workload(placed_load, [WORKSTATION],
-                                policy="hybrid", rebalance_every=40,
-                                seed=3)
+        placed = serve_workload(
+            placed_load, [WORKSTATION], policy="hybrid",
+            rebalance_every=40,
+            engine=SessionEngine(federation=placed_load.federation,
+                                 seed=3))
         assert [r.sessions_served for r in placed] == \
             [r.sessions_served for r in static]
         assert placed_load.federation.traffic.placement_moves > 0

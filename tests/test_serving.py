@@ -9,7 +9,8 @@ from repro.core.errors import PlaybackError, ValueError_
 from repro.corpus import (generate_serving_corpus, make_media_document,
                           make_news_document)
 from repro.serving import SessionEngine
-from repro.timing.schedule import ENGINE_GRAPH, schedule_document
+from repro.timing.schedule import (ENGINE_REFERENCE, schedule_document,
+                                   schedule_for)
 from repro.transport import (FILTERABLE, PLAYABLE, PROFILES, UNPLAYABLE)
 from repro.transport.requirements import compute_requirements
 from repro.transport.environments import (PERSONAL_SYSTEM,
@@ -134,9 +135,10 @@ class TestOneCompilePerAdmission:
                             == two.play().materialize())
             assert (shared.requirements_cache.requirements_for(document)
                     == compute_requirements(document))
-            assert (shared.schedule_cache.schedule_for(document).times_ms
+            assert (schedule_for(document,
+                                 cache=shared.schedule_cache).times_ms
                     == schedule_document(document.compile(),
-                                         engine=ENGINE_GRAPH).times_ms)
+                                         engine=ENGINE_REFERENCE).times_ms)
 
 
 class TestReplay:
