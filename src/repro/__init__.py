@@ -35,32 +35,22 @@ Subpackages:
   negotiation, compiled adaptation, shared-cache batch replay).
 """
 
-from repro.core import (Anchor, ChannelDictionary, CmifDocument, CmifError,
-                        DataBlock, DataDescriptor, DocumentBuilder,
-                        EventDescriptor, MediaTime, Medium, NodeKind,
-                        SchedulingConflict, Strictness, StyleDictionary,
-                        SyncArc, TimeBase, Unit, validate_document)
-from repro.format import (document_from_json, document_to_json,
-                          parse_document, write_document)
-from repro.pipeline import (CaptureSession, ConstraintFilter, Player,
-                            PresentationMapper, StructureMapper,
-                            run_pipeline)
-from repro.serving import SessionEngine
-from repro.store import DataStore
-from repro.timing import Schedule, schedule_document
-from repro.transport import (SystemEnvironment, negotiate, pack, unpack)
+from repro._lazy import export_table
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Anchor", "CaptureSession", "ChannelDictionary", "CmifDocument",
-    "CmifError", "ConstraintFilter", "DataBlock", "DataDescriptor",
-    "DataStore", "DocumentBuilder", "EventDescriptor", "MediaTime",
-    "Medium", "NodeKind", "Player", "PresentationMapper", "Schedule",
-    "SchedulingConflict", "SessionEngine", "Strictness",
-    "StructureMapper", "StyleDictionary",
-    "SyncArc", "SystemEnvironment", "TimeBase", "Unit",
-    "document_from_json", "document_to_json", "negotiate", "pack",
-    "parse_document", "run_pipeline", "schedule_document", "unpack",
-    "validate_document", "write_document",
-]
+__all__ = export_table(__name__, {
+    ".core": ("Anchor", "ChannelDictionary", "CmifDocument", "CmifError",
+              "DataBlock", "DataDescriptor", "DocumentBuilder",
+              "EventDescriptor", "MediaTime", "Medium", "NodeKind",
+              "SchedulingConflict", "Strictness", "StyleDictionary", "SyncArc",
+              "TimeBase", "Unit", "validate_document"),
+    ".format": ("document_from_json", "document_to_json", "parse_document",
+                "write_document"),
+    ".pipeline": ("CaptureSession", "ConstraintFilter", "Player",
+                  "PresentationMapper", "StructureMapper", "run_pipeline"),
+    ".serving": ("SessionEngine",),
+    ".store": ("DataStore",),
+    ".timing": ("Schedule", "schedule_document"),
+    ".transport": ("SystemEnvironment", "negotiate", "pack", "unpack"),
+})

@@ -45,15 +45,9 @@ from repro.core.errors import CmifError
 from repro.core.validate import ERROR, validate_document
 from repro.format.parser import parse_document
 from repro.format.writer import write_document
-from repro.pipeline.program import BatchPlayer
-from repro.pipeline.viewer import (render_arc_table, render_authoring_view,
-                                   render_embedded, render_summary,
-                                   render_sweep, render_tree)
-from repro.timing import ScheduleCache, schedule_document
 from repro.transport.environments import (PERSONAL_SYSTEM, PROFILES,
                                           SILENT_TERMINAL,
                                           SystemEnvironment, WORKSTATION)
-from repro.transport.negotiate import negotiate
 
 ENVIRONMENTS: dict[str, SystemEnvironment] = {
     environment.name: environment
@@ -91,6 +85,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
+    from repro.pipeline.viewer import (render_embedded, render_summary,
+                                       render_tree)
     document = load_document(args.document)
     if args.form == "tree":
         print(render_tree(document))
@@ -102,12 +98,15 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    from repro.pipeline.viewer import render_authoring_view
     document = load_document(args.document)
     print(render_authoring_view(document, slot_ms=args.slot_ms))
     return 0
 
 
 def cmd_arcs(args: argparse.Namespace) -> int:
+    from repro.pipeline.viewer import render_arc_table
+    from repro.timing.schedule import schedule_document
     document = load_document(args.document)
     schedule = schedule_document(document.compile())
     print(render_arc_table(schedule, explicit_only=not args.all))
@@ -131,6 +130,9 @@ def cmd_play(args: argparse.Namespace) -> int:
     if args.replays < 1:
         print("error: --replays must be at least 1", file=sys.stderr)
         return 2
+    from repro.pipeline.program import BatchPlayer
+    from repro.pipeline.viewer import render_sweep
+    from repro.timing.schedule import ScheduleCache
     document = load_document(args.document)
     environment = ENVIRONMENTS[args.environment]
     # One solve, one compiled program: every replay, seek and sweep cell
@@ -172,6 +174,7 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 
 def cmd_negotiate(args: argparse.Namespace) -> int:
+    from repro.transport.negotiate import negotiate
     document = load_document(args.document)
     environment = ENVIRONMENTS[args.environment]
     result = negotiate(document, environment)
@@ -478,7 +481,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"error: no {args.pattern} files in {directory}",
               file=sys.stderr)
         return 2
-    from repro.kernel import resolve_kernel
+    from repro.kernel.backends import resolve_kernel
     kernel = resolve_kernel(args.kernel)
     report = ingest_corpus(paths, relaxation_policy=args.policy,
                            compile_programs=not args.no_programs,

@@ -6,56 +6,34 @@ form the stable core API; the pipeline, timing, format, store and
 transport packages are all built on top of these.
 """
 
-from repro.core.attributes import (ALL_NODE_KINDS, Attribute, AttributeList,
-                                   AttributeSpec, STANDARD_ATTRIBUTES,
-                                   spec_for)
-from repro.core.builder import DocumentBuilder
-from repro.core.channels import (AURAL_MEDIA, Channel, ChannelDictionary,
-                                 Medium, VISUAL_MEDIA)
-from repro.core.descriptors import (DataBlock, DataDescriptor,
-                                    EventDescriptor, Slice)
-from repro.core.document import CmifDocument, CompiledDocument
-from repro.core.edit import (EditReport, duplicate, remove, reorder,
-                             retime, splice)
-from repro.core.errors import (AttributeError_, ChannelError, CmifError,
-                               DeviceConstraintError, FormatError,
-                               MediaError, NavigationError, PathError,
-                               PlaybackError, QueryError, SchedulingConflict,
-                               StoreError, StructureError, StyleError,
-                               SyncArcError, TransportError, ValueError_)
-from repro.core.nodes import (ContainerNode, ExtNode, ImmNode, Node,
-                              NodeKind, ParNode, SeqNode, make_node)
-from repro.core.paths import node_path, relative_path, resolve_path
-from repro.core.styles import StyleDictionary
-from repro.core.syncarc import (Anchor, ConditionalArc, Strictness, SyncArc,
-                                ZERO)
-from repro.core.timebase import (DEFAULT_TIMEBASE, MediaTime, TIME_EPSILON_MS,
-                                 TimeBase, Unit, times_close)
-from repro.core.tree import (TreeStats, common_ancestor, find_named,
-                             find_nodes, iter_leaves, iter_postorder,
-                             iter_preorder, precedes, subtree_of,
-                             tree_stats)
-from repro.core.validate import (ERROR, ValidationIssue, WARNING,
-                                 validate_document)
-from repro.core.values import Rect, ValueKind
+from repro._lazy import export_table
 
-__all__ = [
-    "ALL_NODE_KINDS", "AURAL_MEDIA", "Anchor", "Attribute", "AttributeError_",
-    "AttributeList", "AttributeSpec", "Channel", "ChannelDictionary",
-    "ChannelError", "CmifDocument", "CmifError", "CompiledDocument",
-    "EditReport",
-    "ConditionalArc", "ContainerNode", "DEFAULT_TIMEBASE", "DataBlock",
-    "DataDescriptor", "DeviceConstraintError", "DocumentBuilder", "ERROR",
-    "EventDescriptor", "ExtNode", "FormatError", "ImmNode", "MediaError",
-    "MediaTime", "Medium", "NavigationError", "Node", "NodeKind", "ParNode",
-    "PathError", "PlaybackError", "QueryError", "Rect", "STANDARD_ATTRIBUTES",
-    "SchedulingConflict", "SeqNode", "Slice", "Strictness", "StoreError",
-    "StructureError", "StyleDictionary", "StyleError", "SyncArc",
-    "SyncArcError", "TIME_EPSILON_MS", "TimeBase", "TransportError",
-    "TreeStats", "Unit", "VISUAL_MEDIA", "ValidationIssue", "ValueError_",
-    "ValueKind", "WARNING", "ZERO", "common_ancestor", "find_named",
-    "find_nodes", "iter_leaves", "iter_postorder", "iter_preorder",
-    "duplicate", "make_node", "node_path", "precedes", "relative_path",
-    "remove", "reorder", "resolve_path", "retime", "spec_for", "splice",
-    "subtree_of", "times_close", "tree_stats", "validate_document",
-]
+__all__ = export_table(__name__, {
+    ".attributes": ("ALL_NODE_KINDS", "Attribute", "AttributeList",
+                    "AttributeSpec", "STANDARD_ATTRIBUTES", "spec_for"),
+    ".builder": ("DocumentBuilder",),
+    ".channels": ("AURAL_MEDIA", "Channel", "ChannelDictionary", "Medium",
+                  "VISUAL_MEDIA"),
+    ".descriptors": ("DataBlock", "DataDescriptor", "EventDescriptor",
+                     "Slice"),
+    ".document": ("CmifDocument", "CompiledDocument"),
+    ".edit": ("EditReport", "duplicate", "remove", "reorder", "retime",
+              "splice"),
+    ".errors": ("AttributeError_", "ChannelError", "CmifError",
+                "DeviceConstraintError", "FormatError", "MediaError",
+                "NavigationError", "PathError", "PlaybackError", "QueryError",
+                "SchedulingConflict", "StoreError", "StructureError",
+                "StyleError", "SyncArcError", "TransportError", "ValueError_"),
+    ".nodes": ("ContainerNode", "ExtNode", "ImmNode", "Node", "NodeKind",
+               "ParNode", "SeqNode", "make_node"),
+    ".paths": ("node_path", "relative_path", "resolve_path"),
+    ".styles": ("StyleDictionary",),
+    ".syncarc": ("Anchor", "ConditionalArc", "Strictness", "SyncArc", "ZERO"),
+    ".timebase": ("DEFAULT_TIMEBASE", "MediaTime", "TIME_EPSILON_MS",
+                  "TimeBase", "Unit", "times_close"),
+    ".tree": ("TreeStats", "common_ancestor", "find_named", "find_nodes",
+              "iter_leaves", "iter_postorder", "iter_preorder", "precedes",
+              "subtree_of", "tree_stats"),
+    ".validate": ("ERROR", "ValidationIssue", "WARNING", "validate_document"),
+    ".values": ("Rect", "ValueKind"),
+})

@@ -7,23 +7,11 @@ seeded, order-independent description of what fails; the recovery side
 serving layers survive it — and the ledger proving they did.
 """
 
-from repro.faults.plan import (FAULTS_ENV, STANDARD_PLAN_SPEC,
-                               WORKER_CRASH_EXIT, FaultClock, FaultInjected,
-                               FaultPlan, corrupt_block, parse_fault_plan,
-                               resolve_faults)
-from repro.faults.recovery import CircuitBreaker, RetryPolicy, RobustnessStats
+from repro._lazy import export_table
 
-__all__ = [
-    "FAULTS_ENV",
-    "STANDARD_PLAN_SPEC",
-    "WORKER_CRASH_EXIT",
-    "CircuitBreaker",
-    "FaultClock",
-    "FaultInjected",
-    "FaultPlan",
-    "RetryPolicy",
-    "RobustnessStats",
-    "corrupt_block",
-    "parse_fault_plan",
-    "resolve_faults",
-]
+__all__ = export_table(__name__, {
+    ".plan": ("FAULTS_ENV", "FaultClock", "FaultInjected", "FaultPlan",
+              "STANDARD_PLAN_SPEC", "WORKER_CRASH_EXIT", "corrupt_block",
+              "parse_fault_plan", "resolve_faults"),
+    ".recovery": ("CircuitBreaker", "RetryPolicy", "RobustnessStats"),
+})

@@ -39,6 +39,7 @@ from pathlib import Path
 
 from repro.core.descriptors import DataBlock
 from repro.core.errors import CmifError
+from repro.kernel._np import require_numpy
 
 #: Environment variable holding a default fault-plan spec (CI chaos
 #: matrix); consulted by :func:`resolve_faults` when no explicit plan
@@ -237,10 +238,7 @@ def _corrupt_payload(payload: object) -> object:
     if callable(payload):
         return _corrupt_payload(payload())
     # Array payloads: flip one bit of the raw bytes, same dtype/shape.
-    try:
-        import numpy as np
-    except ImportError:                               # pragma: no cover
-        return b"\x01"
+    np = require_numpy("array payload corruption")
     array = np.asarray(payload)
     raw = bytearray(array.tobytes())
     if not raw:                                       # pragma: no cover

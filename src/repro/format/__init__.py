@@ -6,24 +6,16 @@ round-trip losslessly.  The JSON form mirrors it for JSON-speaking
 tooling.
 """
 
-from repro.format.json_io import (arc_from_obj, arc_to_obj,
-                                  document_from_json, document_to_json,
-                                  node_from_obj, node_to_obj,
-                                  value_from_obj, value_to_obj)
-from repro.format.parser import (parse_arc, parse_document, parse_node,
-                                 parse_time, parse_value)
-from repro.format.sexpr import (Symbol, dump, head_symbol, parse_all,
-                                parse_one, tokenize)
-from repro.format.writer import (arc_expression, attributes_expression,
-                                 node_expression, time_expression,
-                                 value_items, write_document)
+from repro._lazy import export_table
 
-__all__ = [
-    "Symbol", "arc_expression", "arc_from_obj", "arc_to_obj",
-    "attributes_expression", "document_from_json", "document_to_json",
-    "dump", "head_symbol", "node_expression", "node_from_obj",
-    "node_to_obj", "parse_all", "parse_arc", "parse_document",
-    "parse_node", "parse_one", "parse_time", "parse_value", "time_expression",
-    "tokenize", "value_from_obj", "value_items", "value_to_obj",
-    "write_document",
-]
+__all__ = export_table(__name__, {
+    ".json_io": ("arc_from_obj", "arc_to_obj", "document_from_json",
+                 "document_to_json", "node_from_obj", "node_to_obj",
+                 "value_from_obj", "value_to_obj"),
+    ".parser": ("parse_arc", "parse_document", "parse_node", "parse_time",
+                "parse_value"),
+    ".sexpr": ("Symbol", "dump", "head_symbol", "parse_all", "parse_one",
+               "tokenize"),
+    ".writer": ("arc_expression", "attributes_expression", "node_expression",
+                "time_expression", "value_items", "write_document"),
+})

@@ -1,34 +1,53 @@
 """The one optional-NumPy import point for the whole package.
 
 Every module that can use NumPy — the numeric kernel backend, payload
-filtering, transport array encoding — imports ``np`` and ``HAVE_NUMPY``
-from here instead of importing ``numpy`` itself.  That keeps the
-dependency policy in one place: NumPy is an *accelerator*, never a
+filtering, transport array encoding, the synthetic media substrate —
+gets ``np`` from here instead of importing ``numpy`` itself.  That keeps
+the dependency policy in one place: NumPy is an *accelerator*, never a
 requirement.  When it is absent, ``np`` is None, ``HAVE_NUMPY`` is
 False, the python kernel backend serves every numeric path, and only
 the payload transformations that genuinely need array math refuse to
 run (lazily, at the call that needs them).
+
+NumPy is also never imported just because this module was: probing for
+it is a ``find_spec`` lookup, and ``np`` is imported on first access
+(a PEP 562 module ``__getattr__``) or by :func:`require_numpy`, then
+bound here as a plain module attribute.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-    HAVE_NUMPY = True
-except ImportError:                                   # pragma: no cover
-    np = None
-    HAVE_NUMPY = False
+import importlib.util
+
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+
+def _load_numpy():
+    """Import NumPy (once) and bind it as this module's ``np``."""
+    global np
+    if HAVE_NUMPY:
+        import numpy as np
+    else:
+        np = None
+    return np
+
+
+def __getattr__(name: str):
+    if name == "np":
+        return _load_numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def require_numpy(feature: str):
     """``np``, or a clear error naming the feature that needs it."""
-    if np is None:                                    # pragma: no cover
+    numpy = _load_numpy()
+    if numpy is None:
         from repro.core.errors import MediaError
         raise MediaError(
             f"{feature} requires numpy, which is not installed; "
             f"attribute-level adaptation and the python kernel backend "
             f"work without it")
-    return np
+    return numpy
 
 
 __all__ = ["HAVE_NUMPY", "np", "require_numpy"]

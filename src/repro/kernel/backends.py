@@ -38,10 +38,32 @@ Randomized equivalence across the whole surface is pinned by
 
 from __future__ import annotations
 
+import os
 import random
 
+from repro.core.errors import CmifError
 from repro.core.syncarc import Strictness
-from repro.kernel._np import HAVE_NUMPY, np
+from repro.kernel import _np
+
+KERNEL_AUTO = "auto"
+KERNEL_NUMPY = "numpy"
+KERNEL_PYTHON = "python"
+
+#: The kernel axis, mirrored by the CLI ``--kernel`` flag.
+KERNELS = (KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON)
+
+#: Environment override for the ``auto`` choice (CI forces backends
+#: with it); ignored when a call site names a kernel explicitly.
+KERNEL_ENV = "REPRO_KERNEL"
+
+#: NumPy, bound once when the numpy backend is first built (see
+#: :class:`NumpyKernel`), so the vector loops below read it as a plain
+#: module global without importing NumPy for python-kernel runs.
+np = None
+
+
+class KernelError(CmifError):
+    """An unknown or unavailable kernel backend was requested."""
 
 
 class PythonKernel:
@@ -319,7 +341,14 @@ class NumpyKernel:
     """The vectorized backend; every op bit-identical to the reference."""
 
     name = "numpy"
-    np = np
+
+    def __init__(self) -> None:
+        global np
+        np = self.np = _np.require_numpy("the numpy kernel")
+
+    def __reduce__(self):
+        # Unpickle to the receiving process's own backend instance.
+        return resolve_kernel, (KERNEL_NUMPY,)
 
     # -- array plumbing ------------------------------------------------
 
@@ -566,4 +595,40 @@ def _py_endpoint(events, anchor_begin, actual_begin, actual_end, played):
 
 
 PYTHON_KERNEL = PythonKernel()
-NUMPY_KERNEL = NumpyKernel() if HAVE_NUMPY else None
+_numpy_kernel = None
+
+
+def resolve_kernel(kernel=None):
+    """A kernel backend instance for an axis value.
+
+    ``kernel`` may be None / ``"auto"`` (NumPy when available, after
+    consulting :data:`KERNEL_ENV`), a backend name, or an already
+    resolved kernel instance (returned as-is, so plumbing can resolve
+    once and pass the instance down).  The numpy backend — and NumPy
+    itself — is built the first time it is picked.
+    """
+    global _numpy_kernel
+    if isinstance(kernel, (PythonKernel, NumpyKernel)):
+        return kernel
+    name = KERNEL_AUTO if kernel is None else kernel
+    if name == KERNEL_AUTO:
+        name = os.environ.get(KERNEL_ENV, KERNEL_AUTO)
+        if name == KERNEL_AUTO:
+            name = KERNEL_NUMPY if _np.HAVE_NUMPY else KERNEL_PYTHON
+    if name == KERNEL_PYTHON:
+        return PYTHON_KERNEL
+    if name == KERNEL_NUMPY:
+        if not _np.HAVE_NUMPY:
+            raise KernelError(
+                "kernel 'numpy' requested but numpy is not installed; "
+                "use kernel='python' (or 'auto')")
+        if _numpy_kernel is None:
+            _numpy_kernel = NumpyKernel()
+        return _numpy_kernel
+    raise KernelError(f"unknown kernel {name!r}; expected one of "
+                      f"{KERNELS}")
+
+
+def default_kernel():
+    """The kernel ``auto`` resolves to right now (env override included)."""
+    return resolve_kernel(KERNEL_AUTO)

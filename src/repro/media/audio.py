@@ -10,13 +10,16 @@ descriptors carry the rates and durations scheduling needs.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor, Slice
 from repro.core.errors import MediaError
 from repro.core.timebase import MediaTime, TimeBase
+from repro.kernel._np import require_numpy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def synthesize_samples(duration_ms: float, sample_rate: float, *,
@@ -29,6 +32,7 @@ def synthesize_samples(duration_ms: float, sample_rate: float, *,
     if sample_rate <= 0:
         raise MediaError(f"sample rate must be positive, got {sample_rate}")
     count = max(1, int(round(duration_ms / 1000.0 * sample_rate)))
+    np = require_numpy("audio synthesis")
     t = np.arange(count, dtype=np.float64) / sample_rate
     rng = np.random.default_rng(seed)
     signal = np.zeros(count)
@@ -115,6 +119,7 @@ def downsample(samples: np.ndarray, sample_rate: float,
     if usable == 0:
         return samples[:1], sample_rate / factor
     windows = samples[:usable].reshape(-1, factor)
+    np = require_numpy("audio downsampling")
     return windows.mean(axis=1).astype(np.float32), sample_rate / factor
 
 
@@ -134,6 +139,7 @@ def merge_channels(samples: np.ndarray,
     channels = samples.shape[1]
     if target_channels == 1:
         return samples.mean(axis=1).astype(samples.dtype)
+    np = require_numpy("audio channel merging")
     bounds = np.linspace(0, channels, target_channels + 1).astype(int)
     lanes = [samples[:, start:stop].mean(axis=1)
              for start, stop in zip(bounds, bounds[1:])]
@@ -144,4 +150,5 @@ def rms_level(samples: np.ndarray) -> float:
     """Root-mean-square level, used by tests to compare transformations."""
     if len(samples) == 0:
         return 0.0
+    np = require_numpy("audio level measurement")
     return float(np.sqrt(np.mean(np.square(samples.astype(np.float64)))))

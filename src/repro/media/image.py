@@ -9,13 +9,17 @@ monochrome, high-resolution to low resolution".
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.core.errors import MediaError
 from repro.core.timebase import MediaTime
 from repro.core.values import Rect
+from repro.kernel._np import require_numpy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def synthesize_image(width: int, height: int, *, seed: int = 0
@@ -28,6 +32,7 @@ def synthesize_image(width: int, height: int, *, seed: int = 0
     if width <= 0 or height <= 0:
         raise MediaError(f"image size must be positive, "
                          f"got {width}x{height}")
+    np = require_numpy("image synthesis")
     rng = np.random.default_rng(seed)
     ys, xs = np.mgrid[0:height, 0:width]
     red = (xs * 255.0 / max(1, width - 1)) if width > 1 else np.zeros_like(
@@ -94,6 +99,7 @@ def reduce_color_depth(image: np.ndarray, bits_per_channel: int
     if bits_per_channel == 8:
         return image.copy()
     shift = 8 - bits_per_channel
+    np = require_numpy("colour-depth reduction")
     quantized = (image >> shift).astype(np.uint16)
     maximum = (1 << bits_per_channel) - 1
     return ((quantized * 255) // maximum).astype(np.uint8)
@@ -103,6 +109,7 @@ def to_monochrome(image: np.ndarray) -> np.ndarray:
     """Colour to monochrome (ITU-R 601 luma), a filter-stage action."""
     if image.ndim == 2:
         return image.copy()
+    np = require_numpy("monochrome conversion")
     weights = np.array([0.299, 0.587, 0.114])
     return (image[..., :3].astype(np.float64) @ weights).astype(np.uint8)
 
@@ -114,6 +121,7 @@ def scale_image(image: np.ndarray, target_width: int,
         raise MediaError(f"target size must be positive, got "
                          f"{target_width}x{target_height}")
     height, width = image.shape[:2]
+    np = require_numpy("image scaling")
     row_index = (np.arange(target_height) * height // target_height)
     column_index = (np.arange(target_width) * width // target_width)
     return image[row_index][:, column_index].copy()

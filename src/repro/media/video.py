@@ -15,14 +15,17 @@ shape changes detectably under each transformation.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.channels import Medium
 from repro.core.descriptors import DataBlock, DataDescriptor, Slice
 from repro.core.errors import MediaError
 from repro.core.timebase import MediaTime, TimeBase
+from repro.kernel._np import require_numpy
 from repro.media.image import synthesize_image
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def synthesize_frames(duration_ms: float, frame_rate: float, *,
@@ -35,6 +38,7 @@ def synthesize_frames(duration_ms: float, frame_rate: float, *,
     if frame_rate <= 0:
         raise MediaError(f"frame rate must be positive, got {frame_rate}")
     count = max(1, int(round(duration_ms / 1000.0 * frame_rate)))
+    np = require_numpy("video synthesis")
     frames = np.empty((count, height, width, 3), dtype=np.uint8)
     for index in range(count):
         base = synthesize_image(width, height, seed=seed + index)
@@ -115,6 +119,7 @@ def scale_frames(frames: np.ndarray, target_width: int,
         raise MediaError(f"target size must be positive, got "
                          f"{target_width}x{target_height}")
     count, height, width = frames.shape[:3]
+    np = require_numpy("video frame scaling")
     row_index = (np.arange(target_height) * height // target_height)
     column_index = (np.arange(target_width) * width // target_width)
     return frames[:, row_index][:, :, column_index].copy()

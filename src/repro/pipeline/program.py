@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.core.channels import Medium
 from repro.core.errors import PathError, PlaybackError
-from repro.kernel import resolve_kernel
+from repro.kernel.backends import resolve_kernel
 from repro.core.paths import path_map, resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness
 from repro.core.tree import iter_postorder, iter_preorder
@@ -755,8 +755,7 @@ class CompactReport:
         if not isinstance(self._actual_begin, list):
             # The numpy kernel produced this report; its arc results
             # carry the compiled view (channel arrays included).
-            from repro.kernel.backends import NUMPY_KERNEL
-            return NUMPY_KERNEL.skew_by_channel(
+            return resolve_kernel("numpy").skew_by_channel(
                 self.program, self._actual_begin,
                 self._scheduled_begin, mask)
         worst: dict[str, float] = {}

@@ -7,18 +7,13 @@ replay of many tenants' sessions through shared schedule/program/
 adaptation caches.  See :mod:`repro.serving.engine` for the layer map.
 """
 
-from repro.serving.engine import (EnvironmentStats, PLAYER_CACHE_CAPACITY,
-                                  ServingReport, SessionEngine)
-from repro.serving.runqueue import (BLOCKED_ON_CHOICE, BatchTask, DONE,
-                                    InteractiveSession, QueueStats,
-                                    RUNNING, RunQueue, SEEKING,
-                                    SESSION_STATES, ScriptedChoices)
-from repro.serving.session import SESSION_SEED_STRIDE, Session
+from repro._lazy import export_table
 
-__all__ = [
-    "BLOCKED_ON_CHOICE", "BatchTask", "DONE", "EnvironmentStats",
-    "InteractiveSession", "PLAYER_CACHE_CAPACITY", "QueueStats",
-    "RUNNING", "RunQueue", "SEEKING", "SESSION_SEED_STRIDE",
-    "SESSION_STATES", "ScriptedChoices", "ServingReport", "Session",
-    "SessionEngine",
-]
+__all__ = export_table(__name__, {
+    ".engine": ("EnvironmentStats", "PLAYER_CACHE_CAPACITY", "ServingReport",
+                "SessionEngine"),
+    ".runqueue": ("BLOCKED_ON_CHOICE", "BatchTask", "DONE",
+                  "InteractiveSession", "QueueStats", "RUNNING", "RunQueue",
+                  "SEEKING", "SESSION_STATES", "ScriptedChoices"),
+    ".session": ("SESSION_SEED_STRIDE", "Session"),
+})

@@ -46,7 +46,7 @@ from repro.core.document import CmifDocument
 from repro.core.errors import ValueError_
 from repro.faults import (WORKER_CRASH_EXIT, FaultPlan, RobustnessStats,
                           resolve_faults)
-from repro.kernel import resolve_kernel
+from repro.kernel.backends import resolve_kernel
 from repro.pipeline.adaptation import (adapted_navigation_for,
                                        adapted_program_for)
 from repro.pipeline.navprogram import random_trace

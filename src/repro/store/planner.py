@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Callable
 
-from repro.kernel import resolve_kernel
+from repro.kernel.backends import resolve_kernel
 from repro.store.query import (Always, And, Contains, DurationBetween, Eq,
                                MatchesAttr, MediumIs, Not, Or, Query, Range)
 

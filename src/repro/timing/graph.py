@@ -55,7 +55,7 @@ from repro.core.errors import SchedulingConflict
 from repro.core.nodes import NodeKind
 from repro.core.paths import resolve_path
 from repro.core.syncarc import Anchor, ConditionalArc, Strictness
-from repro.kernel import resolve_kernel
+from repro.kernel.backends import resolve_kernel
 from repro.timing.constraints import (Constraint, ConstraintKind,
                                       ConstraintSystem, TimeVar, VarKind)
 from repro.timing.solver import (RELAXATION_POLICIES, RELAX_DROP_LAST,

@@ -5,28 +5,16 @@ of target systems, the can-this-system-play-this-document determination,
 and the two document transport modes (structure-only, self-contained).
 """
 
-from repro.transport.environments import (LatencyMap, PERSONAL_SYSTEM,
-                                          PROFILES, SILENT_TERMINAL,
-                                          SystemEnvironment, WORKSTATION)
-from repro.transport.negotiate import (FILTERABLE, Finding,
-                                       NegotiationResult, PLAYABLE,
-                                       UNPLAYABLE, document_requirements,
-                                       negotiate)
-from repro.transport.package import (PACKAGE_VERSION, UnpackResult,
-                                     externals_to_immediates, pack, unpack)
-from repro.transport.requirements import (DescriptorDemand,
-                                          DocumentRequirements,
-                                          EnvironmentPlan,
-                                          PlannedAdaptation,
-                                          RequirementsCache,
-                                          requirements_for)
+from repro._lazy import export_table
 
-__all__ = [
-    "DescriptorDemand", "DocumentRequirements", "EnvironmentPlan",
-    "FILTERABLE", "Finding", "LatencyMap", "NegotiationResult",
-    "PACKAGE_VERSION", "PERSONAL_SYSTEM", "PLAYABLE", "PROFILES",
-    "PlannedAdaptation", "RequirementsCache", "SILENT_TERMINAL",
-    "SystemEnvironment", "UNPLAYABLE", "UnpackResult", "WORKSTATION",
-    "document_requirements", "externals_to_immediates", "negotiate",
-    "pack", "requirements_for", "unpack",
-]
+__all__ = export_table(__name__, {
+    ".environments": ("LatencyMap", "PERSONAL_SYSTEM", "PROFILES",
+                      "SILENT_TERMINAL", "SystemEnvironment", "WORKSTATION"),
+    ".negotiate": ("FILTERABLE", "Finding", "NegotiationResult", "PLAYABLE",
+                   "UNPLAYABLE", "document_requirements", "negotiate"),
+    ".package": ("PACKAGE_VERSION", "UnpackResult", "externals_to_immediates",
+                 "pack", "unpack"),
+    ".requirements": ("DescriptorDemand", "DocumentRequirements",
+                      "EnvironmentPlan", "PlannedAdaptation",
+                      "RequirementsCache", "requirements_for"),
+})

@@ -211,6 +211,13 @@ def _block_to_obj(block: DataBlock,
 
 def _block_from_obj(obj: dict,
                     package_version: int = PACKAGE_VERSION) -> DataBlock:
+    if not isinstance(obj, dict):
+        raise TransportError(f"block entry must be an object, got "
+                             f"{obj!r}")
+    for name in ("block_id", "medium", "encoding", "data"):
+        if name not in obj:
+            raise TransportError(f"block entry is missing its {name!r} "
+                                 f"field")
     encoding = obj["encoding"]
     raw = _decode_payload(obj["data"], package_version)
     if encoding == "utf-8":
@@ -227,6 +234,15 @@ def _block_from_obj(obj: dict,
     return DataBlock(block_id=obj["block_id"],
                      medium=Medium.from_name(obj["medium"]),
                      payload=payload)
+
+
+def _envelope_table(body: dict, field: str) -> dict:
+    """An optional ``id -> entry`` object of the package envelope."""
+    table = body.get(field) or {}
+    if not isinstance(table, dict):
+        raise TransportError(f"package field {field!r} must be an "
+                             f"object, got {type(table).__name__}")
+    return table
 
 
 def unpack(package_text: str, *, verify: bool = True,
@@ -251,16 +267,24 @@ def unpack(package_text: str, *, verify: bool = True,
         payload = json.loads(package_text)
     except json.JSONDecodeError as exc:
         raise TransportError(f"corrupt package: {exc}") from None
-    body = payload.get("cmif-package")
+    body = payload.get("cmif-package") if isinstance(payload, dict) \
+        else None
     if not isinstance(body, dict):
         raise TransportError("not a CMIF package (missing 'cmif-package')")
     version = body.get("version")
     if version not in SUPPORTED_PACKAGE_VERSIONS:
         raise TransportError(
             f"unsupported package version {version!r}")
-    document = parse_document(body["document"])
+    text = body.get("document")
+    if text is None:
+        raise TransportError("package is missing its 'document' field")
+    if not isinstance(text, str):
+        raise TransportError(f"package field 'document' must be CMIF "
+                             f"text, got {type(text).__name__}")
+    block_objs = _envelope_table(body, "blocks")
+    descriptor_objs = _envelope_table(body, "descriptors")
+    document = parse_document(text)
     store = DataStore(name="unpacked")
-    block_objs = body.get("blocks") or {}
     attempt = 0
     while True:
         blocks = {block_id: _block_from_obj(obj, version)
@@ -278,7 +302,7 @@ def unpack(package_text: str, *, verify: bool = True,
         if verify:
             for block_id, obj in block_objs.items():
                 actual = blocks[block_id].checksum()
-                if actual != obj["checksum"]:
+                if actual != obj.get("checksum"):
                     mismatched = block_id
                     break
                 verified += 1
@@ -297,7 +321,7 @@ def unpack(package_text: str, *, verify: bool = True,
         # A fresh delivery masks every corruption of this attempt.
         robustness.retries += 1
         robustness.recovered += injected
-    for file_id, obj in (body.get("descriptors") or {}).items():
+    for file_id, obj in descriptor_objs.items():
         descriptor = _descriptor_from_obj(obj)
         block = blocks.get(descriptor.block_id) \
             if descriptor.block_id else None

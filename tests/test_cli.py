@@ -234,6 +234,23 @@ class TestServe:
         assert f"skipped {broken.name}: " in captured.err
         assert "served 3 document(s)" in captured.out
 
+    def test_serve_skips_a_package_with_a_wrong_envelope(self, tmp_path,
+                                                          capsys):
+        directory = tmp_path / "catalog"
+        assert main(["serve", str(directory), "--generate", "3",
+                     "--events", "12"]) == 0
+        capsys.readouterr()
+        broken = sorted(directory.glob("*.cmif*"))[0]
+        payload = json.loads(broken.read_text(encoding="utf-8"))
+        payload["cmif-package"]["descriptors"] = ["not", "an", "object"]
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["serve", str(directory)]) == 1
+        captured = capsys.readouterr()
+        assert (f"skipped {broken.name}: package field 'descriptors' "
+                f"must be an object" in captured.err)
+        assert "Traceback" not in captured.err
+        assert "served 2 document(s)" in captured.out
+
     def test_serve_errors_when_no_package_loads(self, tmp_path, capsys):
         directory = tmp_path / "catalog"
         directory.mkdir()

@@ -1,8 +1,8 @@
 """Malformed input on the load path raises typed errors, never raw ones.
 
-Regression tests for three spots where a damaged document or package
-used to escape the :class:`~repro.core.errors.CmifError` hierarchy with
-a bare ``ValueError``/``KeyError``.
+Regression tests for spots where a damaged document or package used to
+escape the :class:`~repro.core.errors.CmifError` hierarchy with a bare
+``ValueError``/``KeyError``/``TypeError``/``AttributeError``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,56 @@ class TestDescriptorDecode:
             lambda obj: obj.__setitem__("attributes", [1, 2]))
         with pytest.raises(TransportError, match="'attributes'"):
             package.unpack(text)
+
+
+def envelope(**fields) -> str:
+    """A package whose envelope carries ``fields`` (None drops one)."""
+    payload = json.loads(package.pack(make_media_document(5, events=8)))
+    body = payload["cmif-package"]
+    for name, value in fields.items():
+        if value is None:
+            body.pop(name)
+        else:
+            body[name] = value
+    return json.dumps(payload)
+
+
+class TestEnvelopeDecode:
+    def test_top_level_array(self):
+        with pytest.raises(TransportError, match="'cmif-package'"):
+            package.unpack(json.dumps([{"cmif-package": {}}]))
+
+    def test_missing_document(self):
+        with pytest.raises(TransportError, match="missing its 'document'"):
+            package.unpack(envelope(document=None))
+
+    @pytest.mark.parametrize("value", [5, ["(cmif)"], {"text": "x"}])
+    def test_non_string_document(self, value):
+        with pytest.raises(TransportError, match="'document' must be"):
+            package.unpack(envelope(document=value))
+
+    @pytest.mark.parametrize("field", ["blocks", "descriptors"])
+    def test_table_given_as_a_list(self, field):
+        with pytest.raises(TransportError, match=f"{field!r} must be an "
+                                                 f"object, got list"):
+            package.unpack(envelope(**{field: [{"block_id": "b"}]}))
+
+    def test_non_object_block_entry(self):
+        with pytest.raises(TransportError, match="block entry must be"):
+            package.unpack(envelope(blocks={"b": "raw"}))
+
+    @pytest.mark.parametrize("field", ["block_id", "medium", "encoding",
+                                       "data"])
+    def test_block_entry_missing_field(self, field):
+        entry = {"block_id": "b", "medium": "text", "encoding": "utf-8",
+                 "data": "aGk=", "checksum": ""}
+        del entry[field]
+        with pytest.raises(TransportError, match=repr(field)):
+            package.unpack(envelope(blocks={"b": entry}))
+
+    def test_empty_tables_still_load(self):
+        result = package.unpack(envelope(blocks=[], descriptors={}))
+        assert result.embedded_blocks == 0
 
 
 class TestValueDecode:
