@@ -300,6 +300,7 @@ def _serve_placement(args: argparse.Namespace, documents,
     workload = build_workload(spec, documents=documents,
                               faults=args.faults)
     engine = SessionEngine(seed=args.seed, kernel=args.kernel,
+                           faults=args.faults,
                            federation=workload.federation)
     reports = serve_workload(workload, environments,
                              policy=args.placement,
@@ -318,6 +319,11 @@ def _serve_placement(args: argparse.Namespace, documents,
           f"bytes={counters['total_bytes']} "
           f"simulated_ms={counters['simulated_ms']:.1f} "
           f"moves={counters['placement_moves']}")
+    ledger = engine.robustness.snapshot()
+    ledger.merge(workload.federation.traffic.robustness)
+    if not ledger.empty:
+        print("\n".join(f"  {line}"
+                        for line in ledger.describe().splitlines()))
     if args.placement_report:
         print(workload.federation.placement_report().describe())
     return 0 if admitted else 1

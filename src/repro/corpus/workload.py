@@ -277,15 +277,14 @@ def serve_workload(workload: PlacementWorkload, environments, *,
                 environment,
                 origin=request.origin,
                 stream_ids=workload.catalog[request.document_index]))
-        traffic_before = workload.federation.traffic.counters()
+        traffic = workload.federation.traffic
+        traffic_before = traffic.snapshot()
         engine.drive(sessions, replays)
-        traffic_after = workload.federation.traffic.counters()
         from repro.serving.engine import ServingReport
         report = ServingReport(
             environments=[],
             documents=len({r.document_index for r in chunk}),
-            traffic={key: traffic_after[key] - traffic_before[key]
-                     for key in traffic_after})
+            traffic=traffic.delta_since(traffic_before).counters())
         report.sessions_served = [session.describe()
                                   for session in sessions]
         reports.append(report)

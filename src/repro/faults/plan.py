@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.core.descriptors import DataBlock
@@ -48,9 +48,6 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 #: Spec values that explicitly mean "no faults".
 _OFF_SPECS = ("", "0", "off", "none")
-
-#: Exit code of a worker process whose crash a plan injected.
-WORKER_CRASH_EXIT = 23
 
 #: The denominator of the stable-hash fraction (48 bits is plenty).
 _HASH_SCALE = float(1 << 48)
@@ -180,10 +177,6 @@ class FaultPlan:
                     or self.ingest_failure_rate > 0
                     or self.replay_failure_rate > 0
                     or self.solve_failure_rate > 0)
-
-    def without_crashes(self) -> "FaultPlan":
-        """This plan minus worker crashes (for in-parent retries)."""
-        return replace(self, crash_shards=())
 
     def describe(self) -> str:
         """The compact spec-ish summary the CLI prints."""

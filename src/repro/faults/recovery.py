@@ -7,6 +7,9 @@ charged to the traffic model's simulated clock, never slept).
 request's retry budget: after enough consecutive failures the breaker
 opens and requests are shorted locally until a cooldown expires, then a
 single half-open probe decides whether to close it again.
+:func:`run_shards` is the one crash-tolerant process pool: ingest and
+serving shard their work through it, and a shard whose worker dies is
+re-run in the parent.
 
 :class:`RobustnessStats` is the ledger.  Every injection site records
 the fault it injected; every recovery site records what it did about
@@ -18,7 +21,13 @@ test failure, not a mystery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field
+
+from repro.core.counters import Counters
+
+#: Exit code of a worker process whose crash a plan injected.
+WORKER_CRASH_EXIT = 23
 
 
 @dataclass(frozen=True)
@@ -109,8 +118,14 @@ class CircuitBreaker:
         return False
 
 
+#: The ledger's injection and outcome fields; :meth:`RobustnessStats.
+#: describe` prints them apart from the recovery counters.
+_OUTCOME_FIELDS = ("faults_injected", "recovered", "unrecovered",
+                   "absorbed")
+
+
 @dataclass
-class RobustnessStats:
+class RobustnessStats(Counters):
     """The fault/recovery ledger threaded through every stats object.
 
     Injection sites call :meth:`record_fault`; recovery sites bump the
@@ -178,34 +193,6 @@ class RobustnessStats:
         return self.total_faults == (self.recovered + self.unrecovered
                                      + self.absorbed)
 
-    def merge(self, other: "RobustnessStats") -> None:
-        """Fold ``other`` into this ledger (worker-shard merges)."""
-        for kind, count in other.faults_injected.items():
-            self.record_fault(kind, count)
-        for name in _MERGE_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def snapshot(self) -> "RobustnessStats":
-        clone = replace(self)
-        clone.faults_injected = dict(self.faults_injected)
-        return clone
-
-    def delta_since(self, before: "RobustnessStats") -> "RobustnessStats":
-        delta = RobustnessStats()
-        for kind, count in self.faults_injected.items():
-            dropped = count - before.faults_injected.get(kind, 0)
-            if dropped:
-                delta.faults_injected[kind] = dropped
-        for name in _MERGE_FIELDS:
-            setattr(delta, name,
-                    getattr(self, name) - getattr(before, name))
-        return delta
-
-    @property
-    def empty(self) -> bool:
-        return self.total_faults == 0 and all(
-            not getattr(self, name) for name in _MERGE_FIELDS)
-
     def describe(self) -> str:
         """Human-readable ledger: only the nonzero lines."""
         lines = []
@@ -219,26 +206,10 @@ class RobustnessStats:
                          f"unrecovered={self.unrecovered} "
                          f"absorbed={self.absorbed} "
                          f"[{'balanced' if self.balanced() else 'UNBALANCED'}]")
-        rows = (("retries", self.retries),
-                ("backoff_ms", round(self.backoff_ms, 3)),
-                ("deadline_exhausted", self.deadline_exhausted),
-                ("breaker_opens", self.breaker_opens),
-                ("breaker_shorts", self.breaker_shorts),
-                ("breaker_probes", self.breaker_probes),
-                ("breaker_closes", self.breaker_closes),
-                ("failovers", self.failovers),
-                ("stale_summaries", self.stale_summaries),
-                ("partial_results", self.partial_results),
-                ("checksum_rejects", self.checksum_rejects),
-                ("worker_crashes", self.worker_crashes),
-                ("reshards", self.reshards),
-                ("resharded_items", self.resharded_items),
-                ("quarantined", self.quarantined),
-                ("retried_documents", self.retried_documents),
-                ("degraded_replays", self.degraded_replays),
-                ("degraded_solves", self.degraded_solves),
-                ("degraded_edits", self.degraded_edits))
-        active = [f"{name}={value}" for name, value in rows if value]
+        counts = self.as_dict()
+        counts["backoff_ms"] = round(self.backoff_ms, 3)
+        active = [f"{name}={value}" for name, value in counts.items()
+                  if value and name not in _OUTCOME_FIELDS]
         if active:
             lines.append("recovery: " + " ".join(active))
         if not lines:
@@ -246,5 +217,77 @@ class RobustnessStats:
         return "\n".join(lines)
 
 
-_MERGE_FIELDS = tuple(name for name in RobustnessStats.__dataclass_fields__
-                      if name != "faults_injected")
+def _shard_entry(work, shard: list, crash: bool):
+    """Worker entry: honour a planned crash, else run the shard."""
+    if crash:
+        # Die the way a real worker does: no exception, no cleanup, the
+        # pool just loses the process.
+        os._exit(WORKER_CRASH_EXIT)
+    return work(shard)
+
+
+def run_shards(items: list, workers: int, work, plan,
+               ledger: RobustnessStats) -> list | None:
+    """Run ``work`` over contiguous shards of ``items`` in a fork pool.
+
+    ``items`` is cut into ``min(workers, len(items))`` contiguous
+    shards; each goes to ``work`` in its own worker process and the
+    results come back in shard order.  Returns None when no pool could
+    be started — the caller then runs its serial path, which is always
+    correct, only slower.
+
+    Crashes are decided here, in the parent: the worker of every shard
+    the fault ``plan`` crashes dies at entry, so ``work`` never rolls a
+    crash and a re-run cannot crash again.  A shard whose worker died —
+    a planned crash, a broken pool, work that cannot be pickled — is
+    re-run in this process on the parent's own items.  ``ledger``
+    records each planned crash as a ``worker-crash`` fault, in
+    ``worker_crashes`` and, once its shard is re-run, in ``recovered``;
+    ``reshards``/``resharded_items`` count the re-runs.  (A broken pool
+    fails every unfinished future, so which shards are re-run depends
+    on timing: those two counters are excluded from determinism
+    assertions, the results are not.)
+    """
+    # Imported on use: the pool machinery is ~15 ms of imports that the
+    # unpack and federation users of this module never need.
+    import multiprocessing
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool_errors = (OSError, BrokenProcessPool, pickle.PicklingError,
+                   TypeError, AttributeError)
+    count = min(workers, len(items))
+    bounds = [len(items) * index // count for index in range(count + 1)]
+    shards = [items[bounds[index]:bounds[index + 1]]
+              for index in range(count)]
+    crashes = [plan is not None and plan.crashes_worker(index)
+               for index in range(count)]
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:                                # pragma: no cover
+        context = multiprocessing.get_context()
+    results: list = [None] * count
+    failed: list[int] = []
+    try:
+        with ProcessPoolExecutor(max_workers=count,
+                                 mp_context=context) as pool:
+            futures = [pool.submit(_shard_entry, work, shard, crash)
+                       for shard, crash in zip(shards, crashes)]
+            for index, future in enumerate(futures):
+                try:
+                    results[index] = future.result()
+                except pool_errors:
+                    failed.append(index)
+    except pool_errors:
+        return None
+    planned = sum(crashes)
+    if planned:
+        ledger.record_fault("worker-crash", planned)
+        ledger.worker_crashes += planned
+    for index in failed:
+        ledger.reshards += 1
+        ledger.resharded_items += len(shards[index])
+        results[index] = work(shards[index])
+    ledger.recovered += planned
+    return results

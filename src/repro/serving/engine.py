@@ -33,19 +33,16 @@ admission and traffic statistics make the engine observable
 from __future__ import annotations
 
 import collections
-import multiprocessing
 import os
-import pickle
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
+from repro.core.counters import Counters
 from repro.core.document import CmifDocument
 from repro.core.errors import ValueError_
-from repro.faults import (WORKER_CRASH_EXIT, FaultPlan, RobustnessStats,
-                          resolve_faults)
+from repro.faults import (FaultPlan, RobustnessStats, resolve_faults,
+                          run_shards)
 from repro.kernel.backends import resolve_kernel
 from repro.pipeline.adaptation import (adapted_navigation_for,
                                        adapted_program_for)
@@ -61,9 +58,8 @@ from repro.transport.negotiate import negotiate
 from repro.transport.requirements import RequirementsCache
 from repro.serving.runqueue import (BatchTask, InteractiveSession,
                                     RunQueue, ScriptedChoices)
-from repro.serving.session import (FILTERABLE, PLAYABLE,
-                                   SESSION_SEED_STRIDE, Session,
-                                   UNPLAYABLE)
+from repro.serving.session import (PLAYABLE, SESSION_SEED_STRIDE,
+                                   Session, UNPLAYABLE)
 
 #: Distinct (program, environment) batch players kept live; each holds
 #: per-configuration transform caches, so the table is LRU-bounded.
@@ -77,7 +73,7 @@ PROGRAM_CACHE_CAPACITY = 512
 
 
 @dataclass
-class EnvironmentStats:
+class EnvironmentStats(Counters):
     """Admission and traffic accounting for one environment profile."""
 
     name: str
@@ -98,10 +94,6 @@ class EnvironmentStats:
     def admitted(self) -> int:
         return self.playable + self.filtered
 
-    def verdict_counts(self) -> dict[str, int]:
-        return {PLAYABLE: self.playable, FILTERABLE: self.filtered,
-                UNPLAYABLE: self.rejected}
-
     def describe(self) -> str:
         admission_rate = (self.admitted / self.admit_seconds
                           if self.admit_seconds > 0 else 0.0)
@@ -119,29 +111,6 @@ class EnvironmentStats:
                 f"{admission_rate:8.1f} admits/s  "
                 f"{self.replays:6d} replays ({replay_rate:8.1f}/s, "
                 f"{events_rate:10.0f} events/s{navigation}{degraded})")
-
-
-    def snapshot(self) -> "EnvironmentStats":
-        """A value copy, for per-run delta accounting."""
-        return EnvironmentStats(**self.__dict__)
-
-    def delta_since(self, before: "EnvironmentStats | None"
-                    ) -> "EnvironmentStats":
-        """This row minus an earlier snapshot (None = all of it)."""
-        if before is None:
-            return self.snapshot()
-        return EnvironmentStats(
-            name=self.name,
-            sessions=self.sessions - before.sessions,
-            playable=self.playable - before.playable,
-            filtered=self.filtered - before.filtered,
-            rejected=self.rejected - before.rejected,
-            replays=self.replays - before.replays,
-            events_played=self.events_played - before.events_played,
-            navigations=self.navigations - before.navigations,
-            degraded=self.degraded - before.degraded,
-            admit_seconds=self.admit_seconds - before.admit_seconds,
-            replay_seconds=self.replay_seconds - before.replay_seconds)
 
 
 @dataclass
@@ -233,56 +202,46 @@ class ServingReport:
         return "\n".join(lines)
 
 
-def _drive_shard(tasks: list
-                 ) -> tuple[int, list[EnvironmentStats], RobustnessStats]:
-    """Run one task shard on its own queue; return the stat deltas.
+def _run_queue(tasks: list, choices: ScriptedChoices | None = None,
+               edits=None) -> RunQueue:
+    """Drive ``tasks`` on one run queue; return the drained queue.
 
-    The unpickled tasks carry copies of the parent's stats rows (shared
-    within the shard by pickle memoization), so the same proportional
-    wall-time attribution as the serial drive lands on them; the deltas
-    against pre-drive snapshots are what travels back.  The sessions'
-    shared robustness ledger travels back the same way (as a delta) so
-    degraded replays inside a worker still balance the parent's books.
+    The queue's wall time is attributed to each environment row in
+    proportion to the replays its sessions performed.
     """
-    rows: dict[int, tuple[EnvironmentStats, EnvironmentStats]] = {}
-    ledgers: dict[int, tuple[RobustnessStats, RobustnessStats]] = {}
+    queue = RunQueue(tasks, choices=(choices if choices is not None
+                                     else ScriptedChoices()))
+    start = time.perf_counter()
+    queue.drive(edits=edits)
+    elapsed = time.perf_counter() - start
+    shares: dict[int, list] = {}
     for task in tasks:
         stats = task.session.stats
-        if stats is not None and id(stats) not in rows:
-            rows[id(stats)] = (stats, stats.snapshot())
-        robust = task.session.robustness
-        if robust is not None and id(robust) not in ledgers:
-            ledgers[id(robust)] = (robust, robust.snapshot())
-    queue = RunQueue(tasks, choices=ScriptedChoices())
-    start = time.perf_counter()
-    queue.drive()
-    elapsed = time.perf_counter() - start
-    performed = queue.replays
-    if performed:
-        shares: collections.Counter = collections.Counter()
-        for task in tasks:
-            stats = task.session.stats
-            if stats is not None and task.replays_done:
-                shares[id(stats)] += task.replays_done
-        for key, share in shares.items():
-            rows[key][0].replay_seconds += elapsed * share / performed
-    robustness = RobustnessStats()
-    for robust, before in ledgers.values():
-        robustness.merge(robust.delta_since(before))
-    return performed, [stats.delta_since(before)
-                       for stats, before in rows.values()], robustness
+        if stats is not None and task.replays_done and queue.replays:
+            shares.setdefault(id(stats), [stats, 0])[1] += task.replays_done
+    for stats, share in shares.values():
+        stats.replay_seconds += elapsed * share / queue.replays
+    return queue
 
 
-def _drive_shard_guarded(args: tuple
-                         ) -> tuple[int, list[EnvironmentStats],
-                                    RobustnessStats]:
-    """Worker entry: honour an injected crash, else drive the shard."""
-    tasks, crash = args
-    if crash:
-        # A planned worker crash: die the way a real worker does — no
-        # exception, no cleanup, the pool just loses the process.
-        os._exit(WORKER_CRASH_EXIT)
-    return _drive_shard(tasks)
+def _drive_shard(tasks: list) -> tuple:
+    """Run one task shard on its own queue; return its counter deltas.
+
+    Returns ``(pid, replays, deltas)``: one delta per stats row and
+    robustness ledger the shard's sessions write.  In a worker those
+    are unpickled private copies (shared within the shard by pickle
+    memoization), so only the deltas against pre-drive snapshots travel
+    back; ``pid`` tells the parent whether the shard ran on copies.
+    """
+    touched = list({id(counters): counters for task in tasks
+                    for counters in (task.session.stats,
+                                     task.session.robustness)
+                    if counters is not None}.values())
+    before = [counters.snapshot() for counters in touched]
+    queue = _run_queue(tasks)
+    return os.getpid(), queue.replays, [
+        counters.delta_since(snapshot)
+        for counters, snapshot in zip(touched, before)]
 
 
 class SessionEngine:
@@ -616,114 +575,27 @@ class SessionEngine:
         # drives stay serial (the replay inner loop is unaffected).
         if workers > 1 and choices is None and edits is None \
                 and self.federation is None and len(tasks) > 1:
-            performed = self._drive_parallel(tasks, workers)
-            if performed is not None:
+            # A shard re-driven in this process (its worker died) ran
+            # on the parent's own sessions, so its counters already
+            # landed; only deltas from worker copies are merged.
+            results = run_shards(tasks, workers, _drive_shard,
+                                 self.faults, self.robustness)
+            if results is not None:
                 self.last_queue = None
-                return performed
-        queue = RunQueue(tasks, choices=(choices if choices is not None
-                                         else ScriptedChoices()))
-        start = time.perf_counter()
+                for pid, _, deltas in results:
+                    if pid == os.getpid():
+                        continue
+                    for delta in deltas:
+                        target = (self.robustness
+                                  if isinstance(delta, RobustnessStats)
+                                  else self.stats[delta.name])
+                        target.merge(delta)
+                return sum(replays for _, replays, _ in results)
         # Live edits mutate shared program state, so edited drives are
         # always serial: one process, edits applied between quanta.
-        queue.drive(edits=edits)
-        elapsed = time.perf_counter() - start
-        performed = queue.replays
-        # Wall time attributed proportionally to each environment's share.
-        if performed:
-            shares: collections.Counter = collections.Counter()
-            rows: dict[int, EnvironmentStats] = {}
-            for task in tasks:
-                stats = task.session.stats
-                if stats is not None and task.replays_done:
-                    shares[id(stats)] += task.replays_done
-                    rows[id(stats)] = stats
-            for key, share in shares.items():
-                rows[key].replay_seconds += elapsed * share / performed
+        queue = _run_queue(tasks, choices, edits)
         self.last_queue = queue
-        return performed
-
-    def _drive_parallel(self, tasks: list, workers: int) -> int | None:
-        """Drive contiguous task shards in a pool; merge stat deltas.
-
-        Returns None when no pool could be started — the caller then
-        falls back to the serial queue.  A shard whose worker died (an
-        injected crash from the fault plan, a genuinely broken pool, or
-        an unpicklable task graph) is re-driven serially in the parent
-        on the parent's own task objects — session replay outcomes
-        depend only on their own seeds, so the merged result matches a
-        ``workers=1`` drive exactly; only the ``reshards`` counters
-        show it happened.
-        """
-        shard_count = min(workers, len(tasks))
-        bounds = [len(tasks) * index // shard_count
-                  for index in range(shard_count + 1)]
-        shards = [tasks[bounds[index]:bounds[index + 1]]
-                  for index in range(shard_count)]
-        plan = self.faults
-        crash_flags = [plan is not None and plan.crashes_worker(index)
-                       for index in range(shard_count)]
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:                            # pragma: no cover
-            context = multiprocessing.get_context()
-        results: list[tuple | None] = [None] * shard_count
-        failed_shards: list[int] = []
-        try:
-            with ProcessPoolExecutor(max_workers=shard_count,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_drive_shard_guarded,
-                                       (shard, crash))
-                           for shard, crash in zip(shards, crash_flags)]
-                for index, future in enumerate(futures):
-                    try:
-                        results[index] = future.result()
-                    except (OSError, BrokenProcessPool,
-                            pickle.PicklingError, TypeError,
-                            AttributeError):
-                        failed_shards.append(index)
-        except (OSError, BrokenProcessPool, pickle.PicklingError,
-                TypeError, AttributeError):
-            return None
-        robust = self.robustness
-        planned_crashes = sum(1 for crash in crash_flags if crash)
-        if planned_crashes:
-            robust.record_fault("worker-crash", planned_crashes)
-            robust.worker_crashes += planned_crashes
-        performed = 0
-        for index in failed_shards:
-            # Re-drive the dead shard in the parent, on the parent's
-            # own task objects: stats land directly on the engine rows,
-            # exactly as a serial drive would put them.  (A broken pool
-            # fails every unfinished future, so which shards show up
-            # here is timing-dependent — the reshard counters are
-            # excluded from determinism assertions.)
-            robust.reshards += 1
-            robust.resharded_items += len(shards[index])
-            shard_performed, _deltas, _robustness = \
-                _drive_shard(shards[index])
-            performed += shard_performed
-        if planned_crashes:
-            # The reshard re-drives above masked every planned crash.
-            robust.recovered += planned_crashes
-        for result in results:
-            if result is None:
-                continue
-            shard_performed, deltas, shard_robustness = result
-            performed += shard_performed
-            robust.merge(shard_robustness)
-            for delta in deltas:
-                row = self.stats.get(delta.name)
-                if row is None:                       # pragma: no cover
-                    row = EnvironmentStats(name=delta.name)
-                    self.stats[delta.name] = row
-                # Admission fields never move during a drive; only the
-                # replay-side counters come back from the shard.
-                row.replays += delta.replays
-                row.events_played += delta.events_played
-                row.navigations += delta.navigations
-                row.degraded += delta.degraded
-                row.replay_seconds += delta.replay_seconds
-        return performed
+        return queue.replays
 
     # -- corpus serving ------------------------------------------------------
 
@@ -776,7 +648,7 @@ class SessionEngine:
         before = {name: stats.snapshot()
                   for name, stats in self.stats.items()}
         robustness_before = self.robustness.snapshot()
-        traffic_before = (self.federation.traffic.counters()
+        traffic_before = (self.federation.traffic.snapshot()
                           if self.federation is not None else None)
         wall_start = time.perf_counter()
         serial = 0
@@ -833,11 +705,9 @@ class SessionEngine:
                        before.get(environment.name))
                    for environment in environments
                    if environment.name in self.stats]
-        traffic: dict = {}
-        if traffic_before is not None:
-            after = self.federation.traffic.counters()
-            traffic = {key: after[key] - traffic_before[key]
-                       for key in after}
+        traffic = ({} if traffic_before is None else
+                   self.federation.traffic.delta_since(traffic_before)
+                   .counters())
         return ServingReport(
             environments=ordered,
             documents=len(documents),

@@ -40,6 +40,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.core.channels import Medium
+from repro.core.counters import Counters
 from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.core.errors import StoreError, ValueError_
 from repro.core.timebase import TimeBase
@@ -51,18 +52,12 @@ _RANK_CACHE_CAP = 512
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Counters):
     """Access counters used by the attribute-manipulation experiments."""
 
     attribute_reads: int = 0
     payload_reads: int = 0
     payload_bytes: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.attribute_reads = 0
-        self.payload_reads = 0
-        self.payload_bytes = 0
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.channels import Medium
+from repro.core.counters import Counters
 from repro.core.descriptors import DataBlock, DataDescriptor
 from repro.core.errors import StoreError
 from repro.faults import (CircuitBreaker, FaultClock, FaultInjected,
@@ -145,8 +146,18 @@ class NetworkModel:
 
 
 @dataclass
-class TrafficStats:
-    """Accumulated simulated network traffic of one federation."""
+class TrafficStats(Counters):
+    """Accumulated simulated network traffic of one federation.
+
+    :meth:`reset` zeroes the *counters* only — warm state survives on
+    purpose.  The federation's descriptor→site routing map, descriptor
+    cache and cached summaries live on :class:`FederatedStore`, not
+    here, and deliberately survive it: the benchmarks that call
+    ``traffic.reset()`` measure the *warm* request path (what repeat
+    traffic costs once routes are learned).  To measure a cold start —
+    counters and caches together — use
+    :meth:`FederatedStore.reset_traffic`.
+    """
 
     requests: int = 0
     requests_avoided: int = 0
@@ -163,29 +174,6 @@ class TrafficStats:
     #: Fault/recovery ledger for the federation's remote operations.
     robustness: RobustnessStats = field(default_factory=RobustnessStats)
 
-    def reset(self) -> None:
-        """Zero the *counters* only — warm state survives on purpose.
-
-        The federation's descriptor→site routing map, descriptor cache
-        and cached summaries live on :class:`FederatedStore`, not here,
-        and deliberately survive this reset: the benchmarks that call
-        ``traffic.reset()`` measure the *warm* request path (what
-        repeat traffic costs once routes are learned).  To measure a
-        cold start — counters and caches together — use
-        :meth:`FederatedStore.reset_traffic`.
-        """
-        self.requests = 0
-        self.requests_avoided = 0
-        self.local_requests = 0
-        self.descriptor_bytes = 0
-        self.payload_bytes = 0
-        self.summary_bytes = 0
-        self.placement_moves = 0
-        self.placement_bytes = 0
-        self.placement_ms = 0.0
-        self.simulated_ms = 0.0
-        self.robustness = RobustnessStats()
-
     @property
     def total_bytes(self) -> int:
         """All bytes moved: descriptors, payloads, summaries and
@@ -195,19 +183,10 @@ class TrafficStats:
 
     def counters(self) -> dict:
         """A plain snapshot of the scalar counters (report plumbing)."""
-        return {
-            "requests": self.requests,
-            "requests_avoided": self.requests_avoided,
-            "local_requests": self.local_requests,
-            "descriptor_bytes": self.descriptor_bytes,
-            "payload_bytes": self.payload_bytes,
-            "summary_bytes": self.summary_bytes,
-            "placement_moves": self.placement_moves,
-            "placement_bytes": self.placement_bytes,
-            "placement_ms": self.placement_ms,
-            "total_bytes": self.total_bytes,
-            "simulated_ms": self.simulated_ms,
-        }
+        counts = self.as_dict()
+        del counts["robustness"]
+        counts["total_bytes"] = self.total_bytes
+        return counts
 
 
 @dataclass

@@ -495,8 +495,9 @@ class RequirementsCache:
     The admission path negotiates every arriving document against every
     environment profile; this cache makes the tree walk a once-per-
     revision cost.  Entries pin their document so ``id()`` reuse is
-    impossible, and any edit (revision bump) moves the key — the same
-    discipline the schedule and program caches follow.
+    impossible, and any edit (revision bump) moves the key; caching the
+    new revision evicts the superseded one — the same discipline the
+    schedule and program caches follow.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -530,6 +531,8 @@ class RequirementsCache:
             return entry[1]
         self.misses += 1
         profile = compute_requirements(document, compiled)
+        for stale in [old for old in self._entries if old[0] == key[0]]:
+            del self._entries[stale]
         self._entries[key] = (document, profile)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

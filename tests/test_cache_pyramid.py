@@ -15,12 +15,13 @@ import pytest
 from repro.core.edit import add_arc, remove_arc, retime
 from repro.core.builder import DocumentBuilder
 from repro.core.syncarc import ConditionalArc
+from repro.corpus import make_media_document
 from repro.pipeline.navigation import NavigationSession
 from repro.pipeline.navprogram import compile_navigation, navigation_for
 from repro.pipeline.player import Player
 from repro.serving import SessionEngine
-from repro.timing import schedule_document
-from repro.transport.environments import WORKSTATION
+from repro.timing import schedule_document, schedule_for
+from repro.transport.environments import PROFILES, WORKSTATION
 
 
 def build_document():
@@ -133,3 +134,21 @@ class TestEditInvalidatesEveryLevel:
         self.serve_once(engine, document)
         assert engine.schedule_cache.misses == schedule_misses
         assert engine.program_cache.misses == program_misses
+
+
+def test_caches_keep_only_the_current_revision():
+    """A live-edited document re-admitted everywhere leaves one entry
+    per document in the requirements and schedule caches: a superseded
+    revision's key can never be probed again, so it is evicted."""
+    documents = [make_media_document(seed, events=12) for seed in (1, 2)]
+    leaf = schedule_for(documents[0]).events[0].event.node_path
+    engine = SessionEngine(seed=3)
+    engine.serve(documents, list(PROFILES), replays=1, edit_script=[
+        {"op": "retime", "path": leaf, "duration_ms": 500.0 + 50 * step,
+         "at_step": step} for step in range(6)])
+    assert documents[0].revision == 6
+    sessions = [engine.admit(documents[0], environment)
+                for environment in PROFILES]
+    assert any(session.admitted for session in sessions)
+    assert len(engine.requirements_cache) == len(documents)
+    assert len(engine.schedule_cache) == len(documents)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults import FAULTS_ENV
 from repro.format.writer import write_document
 
 
@@ -279,3 +280,61 @@ class TestServe:
         directory = tmp_path / "catalog"
         assert main(["serve", str(directory), "--generate", "2",
                      "--interactive", "-1"]) == 2
+
+    def test_serve_sites_runs_the_fault_plan(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        directory = tmp_path / "catalog"
+        assert main(["serve", str(directory), "--generate", "3",
+                     "--events", "12", "--sites", "2",
+                     "--placement-sessions", "12",
+                     "--environments", "workstation",
+                     "--faults", "seed=3,replay=1.0"]) == 0
+        out = capsys.readouterr().out
+        assert "placement: policy=" in out
+        assert "faults injected: replay=" in out
+        assert "degraded_replays=" in out
+        assert "[balanced]" in out
+
+
+class TestShardedCommands:
+    """``--workers 2`` under a plan that crashes shard 0's worker: the
+    parent re-runs the shard, so the counts equal ``--workers 1``'s and
+    only the printed ledger shows the crash."""
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_plan(self, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+
+    @staticmethod
+    def run(capsys, argv: list[str]) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_ingest_workers_with_a_crash(self, tmp_path, capsys):
+        directory = str(tmp_path / "corpus")
+        self.run(capsys, ["ingest", directory, "--generate", "4",
+                          "--events", "30", "--no-programs"])
+        serial = self.run(capsys, ["ingest", directory, "--workers", "1"])
+        sharded = self.run(capsys, ["ingest", directory, "--workers", "2",
+                                    "--faults", "crash=0"])
+        assert serial.splitlines()[0] == sharded.splitlines()[0]
+        assert sharded.splitlines()[0].startswith("ingested 4/4 ")
+        assert "worker_crashes=1" in sharded
+        assert "worker_crashes" not in serial
+
+    def test_serve_workers_with_a_crash(self, tmp_path, capsys):
+        directory = str(tmp_path / "catalog")
+        self.run(capsys, ["serve", directory, "--generate", "4",
+                          "--events", "12", "--replays", "0"])
+        argv = ["serve", directory, "--sessions", "2", "--replays", "3"]
+        serial = self.run(capsys, argv + ["--workers", "1"])
+        sharded = self.run(capsys, argv + ["--workers", "2",
+                                           "--faults", "crash=0"])
+        # The headline up to its timing: documents, sessions, verdicts,
+        # replays and events played.
+        assert (serial.splitlines()[0].split(" in ")[0]
+                == sharded.splitlines()[0].split(" in ")[0])
+        assert " 0 replay(s)" not in sharded.splitlines()[0]
+        assert "worker_crashes=1" in sharded
+        assert "worker_crashes" not in serial

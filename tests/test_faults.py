@@ -12,27 +12,36 @@ The layer's contract has three parts, and each gets its section here:
   ``TestUnpackFaults``);
 * the :class:`RobustnessStats` ledger balances — ``total_faults ==
   recovered + unrecovered + absorbed`` — on every path
-  (``TestRobustnessLedger``).
+  (``TestRobustnessLedger``), and every type on the counter base
+  obeys one snapshot/delta/merge/reset algebra
+  (``test_counter_arithmetic``).
 """
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.counters import Counters
 from repro.core.errors import (CmifError, SchedulingConflict, StoreError,
                                TransportError)
 from repro.corpus import generate_corpus, ingest_corpus
 from repro.corpus.ingest import (CATEGORY_INFRASTRUCTURE,
                                  CATEGORY_PARSE_ERROR,
-                                 CATEGORY_SOLVE_CONFLICT, classify_failure)
+                                 CATEGORY_SOLVE_CONFLICT, IngestReport,
+                                 classify_failure)
 from repro.faults import (FAULTS_ENV, STANDARD_PLAN_SPEC, CircuitBreaker,
                           FaultClock, FaultInjected, FaultPlan, RetryPolicy,
                           RobustnessStats, corrupt_block, parse_fault_plan,
                           resolve_faults)
 from repro.pipeline.capture import CaptureSession
 from repro.serving import SessionEngine
+from repro.serving.engine import EnvironmentStats
 from repro.store import (DataStore, FederatedStore, NetworkModel,
                          SiteUnavailable, Site)
+from repro.store.datastore import StoreStats
+from repro.store.distributed import TrafficStats
 from repro.transport.environments import PROFILES
 from repro.transport.package import pack, unpack
 
@@ -99,14 +108,6 @@ class TestFaultPlan:
         clock = FaultClock()
         assert [clock.tick() for _ in range(3)] == [0, 1, 2]
         assert clock.now == 3
-
-    def test_without_crashes(self):
-        plan = FaultPlan(seed=1, crash_shards=(0, 2),
-                         ingest_failure_rate=0.1)
-        assert plan.crashes_worker(0) and plan.crashes_worker(2)
-        stripped = plan.without_crashes()
-        assert not stripped.crash_shards
-        assert stripped.ingest_failure_rate == plan.ingest_failure_rate
 
     def test_corrupt_block_changes_checksum(self):
         from repro.media import make_text_block
@@ -659,3 +660,85 @@ class TestRobustnessLedger:
         stats.recovered += 1
         text = stats.describe()
         assert "site-outage=1" in text and "balanced" in text
+
+    def test_served_run_identities(self, serving_documents):
+        """The declared conservation identities on a faulted run: per
+        row ``sessions == playable + filtered + rejected``, a sharded
+        drive (one worker crashed and re-driven in the parent) equals
+        the serial one, and every ledger balances."""
+        plan = FaultPlan(seed=0, replay_failure_rate=0.3,
+                         solve_failure_rate=0.3, crash_shards=(1,))
+        reports = [SessionEngine(seed=7, faults=plan).serve(
+                       serving_documents, PROFILES, sessions_per_pair=2,
+                       replays=3, workers=workers)
+                   for workers in (1, 2)]
+        for report in reports:
+            assert all(row.sessions == row.playable + row.filtered
+                       + row.rejected for row in report.environments)
+            assert report.robustness.balanced()
+            assert report.robustness.unrecovered == 0
+        serial, sharded = reports
+        assert ([_timeless(row) for row in serial.environments]
+                == [_timeless(row) for row in sharded.environments])
+        assert (serial.robustness.degraded_replays
+                == sharded.robustness.degraded_replays > 0)
+        assert sharded.robustness.worker_crashes == 1
+
+
+def _timeless(row) -> dict:
+    """A stats row's counters without its wall-clock timings."""
+    counts = row.as_dict()
+    del counts["admit_seconds"], counts["replay_seconds"]
+    return counts
+
+
+COUNTER_TYPES = (EnvironmentStats, IngestReport, RobustnessStats,
+                 StoreStats, TrafficStats)
+
+#: Float counters grow by multiples of 1/8, so every sum and difference
+#: the arithmetic takes is exact and the identities can use ``==``.
+FLOAT_STEPS = st.integers(0, 10 ** 6).map(lambda steps: steps / 8)
+
+
+def fresh(kind):
+    return kind(name="row") if kind is EnvironmentStats else kind()
+
+
+def grown(draw, counters):
+    """A copy of ``counters`` with every counter moved up by a random
+    amount (counters only grow; dict keys and log entries get added)."""
+    copy = counters.snapshot()
+    for spec in dataclasses.fields(copy):
+        value = getattr(copy, spec.name)
+        if isinstance(value, Counters):
+            setattr(copy, spec.name, grown(draw, value))
+        elif isinstance(value, dict):
+            keys = st.sampled_from(sorted(value) + ["x", "y"])
+            for key in draw(st.lists(keys, max_size=3)):
+                value[key] = value.get(key, 0) + draw(st.integers(1, 50))
+        elif isinstance(value, list):
+            value.extend(draw(st.lists(st.integers(), max_size=3)))
+        elif isinstance(value, float):
+            setattr(copy, spec.name, value + draw(FLOAT_STEPS))
+        elif isinstance(value, int):
+            setattr(copy, spec.name, value + draw(st.integers(0, 1000)))
+    return copy
+
+
+@pytest.mark.parametrize("kind", COUNTER_TYPES,
+                         ids=lambda kind: kind.__name__)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_counter_arithmetic(kind, data):
+    """Every type on the counter base: a delta merged back onto its
+    snapshot restores the later state, a state minus itself is empty,
+    and ``reset()`` equals a fresh instance."""
+    before = grown(data.draw, fresh(kind))
+    after = grown(data.draw, before)
+    merged = before.snapshot()
+    merged.merge(after.delta_since(before))
+    assert merged == after
+    assert after.delta_since(after).empty
+    assert after.delta_since(None) == after
+    after.reset()
+    assert after == fresh(kind) and after.empty

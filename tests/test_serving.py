@@ -9,6 +9,7 @@ from repro.core.errors import PlaybackError, ValueError_
 from repro.corpus import (generate_serving_corpus, make_media_document,
                           make_news_document)
 from repro.serving import SessionEngine
+from repro.serving.runqueue import BatchTask
 from repro.timing.schedule import (ENGINE_REFERENCE, schedule_document,
                                    schedule_for)
 from repro.transport import (FILTERABLE, PLAYABLE, PROFILES, UNPLAYABLE)
@@ -182,6 +183,15 @@ class TestReplay:
         assert all(session.replays_run == 2 for session in admitted)
         assert all(session.replays_run == 0 for session in sessions
                    if not session.admitted)
+
+    def test_redriving_a_finished_task_is_a_no_op(self, engine):
+        session = engine.admit(make_media_document(2, events=12),
+                               PERSONAL_SYSTEM)
+        task = BatchTask(session, 2)
+        assert engine.drive([task]) == 2
+        stats = engine.stats[PERSONAL_SYSTEM.name].snapshot()
+        assert engine.drive([task]) == 0
+        assert engine.stats[PERSONAL_SYSTEM.name] == stats
 
 
 class TestServe:
