@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro.core.channels import Medium
 from repro.core.document import CmifDocument
-from repro.core.errors import CmifError
+from repro.core.errors import CmifError, FormatError
 from repro.core.validate import ERROR, validate_document
 from repro.format.parser import parse_document
 from repro.format.writer import write_document
@@ -211,11 +211,18 @@ def _load_edit_script(path: str) -> list:
     to fire at) and ``document`` (corpus index, ``serve`` only).
     """
     import json
-    script = json.loads(Path(path).read_text(encoding="utf-8"))
+    from repro.pipeline.patch import edit_call
+    try:
+        script = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise FormatError(f"edit script {path} is not JSON: {error}") \
+            from None
     if not isinstance(script, list) \
             or not all(isinstance(spec, dict) for spec in script):
         raise CmifError(f"edit script {path} must be a JSON list of "
                         f"edit objects")
+    for spec in script:
+        edit_call(spec)
     return script
 
 

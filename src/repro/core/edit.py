@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.document import CmifDocument
-from repro.core.errors import PathError, StructureError
+from repro.core.errors import PathError, StructureError, ValueError_
 from repro.core.nodes import (ContainerNode, ExtNode, ImmNode, Node,
                               ParNode, SeqNode)
 from repro.core.paths import node_path, resolve_path
@@ -178,6 +178,11 @@ def retime(document: CmifDocument, node_path_: str,
             f"its children, not set directly")
     value = (duration if isinstance(duration, MediaTime)
              else MediaTime.ms(float(duration)))
+    if value.value < 0:
+        # Compiling rejects a negative duration; the incremental
+        # scheduler writes durations into compiled events in place.
+        raise ValueError_(f"{node.label()}: duration cannot be "
+                          f"negative, got {value}")
     node.attributes.set("duration", value)
     document.bump_revision()
     return EditReport(operation="retime", subject=node_path(node))

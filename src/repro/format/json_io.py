@@ -140,7 +140,11 @@ def value_from_obj(value: Any) -> Any:
                                   f"{value['$rect']!r}; expected "
                                   f"[x, y, width, height]") from None
         if "$pointers" in value:
-            return tuple(str(item) for item in value["$pointers"])
+            pointers = value["$pointers"]
+            if not isinstance(pointers, list):
+                raise FormatError(f"malformed $pointers value "
+                                  f"{pointers!r}; expected a list")
+            return tuple(str(item) for item in pointers)
         return {key: value_from_obj(nested)
                 for key, nested in value.items()}
     return value

@@ -18,6 +18,7 @@ bound here as a plain module attribute.
 from __future__ import annotations
 
 import importlib.util
+import sys
 
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
@@ -38,6 +39,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def numpy_loaded() -> bool:
+    """Whether NumPy is already imported, by this package or anyone."""
+    return sys.modules.get("numpy") is not None
+
+
 def require_numpy(feature: str):
     """``np``, or a clear error naming the feature that needs it."""
     numpy = _load_numpy()
@@ -50,4 +56,4 @@ def require_numpy(feature: str):
     return numpy
 
 
-__all__ = ["HAVE_NUMPY", "np", "require_numpy"]
+__all__ = ["HAVE_NUMPY", "np", "numpy_loaded", "require_numpy"]

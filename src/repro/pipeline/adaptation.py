@@ -273,7 +273,7 @@ def adapted_program_for(schedule: Schedule,
                         ) -> PlaybackProgram:
     """The environment-specialized playback program of a schedule.
 
-    On a cache hit this is one dictionary probe.  On a miss: the shared
+    On a cache hit this is one cache lookup.  On a miss: the shared
     base program is compiled (or fetched) under the environment-free
     key, the filter plan is derived (reusing ``requirements`` when the
     caller holds a cached profile), lowered, and composed — then cached
@@ -281,19 +281,17 @@ def adapted_program_for(schedule: Schedule,
     plan with no ops composes to the base program itself, so playable
     documents cost nothing extra per environment.
     """
-    if program_cache is not None:
-        cached = program_cache.get(schedule, environment=environment)
-        if cached is not None:
-            return cached
-    base = compile_program(schedule, cache=program_cache)
-    if plan is None:
-        adaptation = adaptation_for(schedule, environment,
-                                    requirements=requirements)
-    else:
-        adaptation = compile_adaptation(plan, schedule.compiled,
-                                        environment)
-    program = base if adaptation.identity \
-        else base.specialized(adaptation)
-    if program_cache is not None:
-        program_cache.put(schedule, program, environment=environment)
-    return program
+    def build() -> PlaybackProgram:
+        base = compile_program(schedule, cache=program_cache)
+        if plan is None:
+            adaptation = adaptation_for(schedule, environment,
+                                        requirements=requirements)
+        else:
+            adaptation = compile_adaptation(plan, schedule.compiled,
+                                            environment)
+        return base if adaptation.identity \
+            else base.specialized(adaptation)
+    if program_cache is None:
+        return build()
+    return program_cache.get_or_build(schedule, environment.fingerprint(),
+                                      build)

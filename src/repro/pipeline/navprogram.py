@@ -56,8 +56,10 @@ from repro.timing.conflicts import NAVIGATION, ConflictReport
 from repro.timing.schedule import Schedule
 
 #: The :meth:`ProgramCache.get_derived` tag navigation programs live
-#: under — one per (schedule identity, document revision).
+#: under — one per (schedule identity, document revision) — and the
+#: program-cache slot it names.
 NAVIGATION_TAG = "navigation"
+NAVIGATION_SLOT = ("derived", NAVIGATION_TAG)
 
 
 @dataclass(frozen=True)
@@ -203,14 +205,10 @@ def navigation_for(schedule: Schedule, *,
     :data:`NAVIGATION_TAG`) in the shared program cache, so edits
     invalidate it exactly when they invalidate the playback program.
     """
-    if program_cache is not None:
-        cached = program_cache.get_derived(schedule, NAVIGATION_TAG)
-        if cached is not None:
-            return cached
-    program = compile_navigation(schedule)
-    if program_cache is not None:
-        program_cache.put_derived(schedule, NAVIGATION_TAG, program)
-    return program
+    if program_cache is None:
+        return compile_navigation(schedule)
+    return program_cache.get_or_build(
+        schedule, NAVIGATION_SLOT, lambda: compile_navigation(schedule))
 
 
 class CompiledNavigationSession:

@@ -43,8 +43,8 @@ patching and *detect themselves*: the scheduler records no localized
 region (``last_changed_paths is None``) and the patcher falls back to a
 targeted recompile — one base lowering slice-assigned into the live
 arrays, one adaptation re-plan per *cached* environment fingerprint,
-one navigation recompile — classified per pyramid level by
-:meth:`~repro.pipeline.program.ProgramCache.level_of`.  Entries of
+one navigation recompile — classified per pyramid level by each
+entry's :class:`~repro.pipeline.program.ProgramCache` slot.  Entries of
 other schedules (other documents on the same engine) are never touched,
 which the per-edit counters on :class:`EditRecord` (and the cumulative
 :class:`~repro.timing.incremental.EngineStats`) make checkable.
@@ -60,19 +60,20 @@ bit-identical to a cold recompile of the edited document by
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
 from repro.core.document import CmifDocument
-from repro.core.errors import (PathError, SchedulingConflict,
-                               ValueError_)
+from repro.core.errors import (FormatError, PathError,
+                               SchedulingConflict)
 from repro.core.paths import path_map, resolve_path
 from repro.core.syncarc import (Anchor, ConditionalArc, Strictness,
                                 SyncArc)
 from repro.core.timebase import MediaTime
 from repro.core.tree import iter_postorder, iter_preorder
 from repro.pipeline.adaptation import adaptation_for
-from repro.pipeline.navprogram import (NAVIGATION_TAG, NavigationProgram,
+from repro.pipeline.navprogram import (NAVIGATION_SLOT, NavigationProgram,
                                        recompile_into)
 from repro.pipeline.program import (PlaybackProgram, ProgramCache,
                                     audit_row, build_audit_arc,
@@ -128,23 +129,99 @@ class EditRecord:
                 f"({self.wall_seconds * 1000:.2f}ms)")
 
 
+_REQUIRED = object()
+
+#: What each :func:`spec_field` kind must be, for error messages.
+_KINDS = {str: "a string", float: "a finite number", int: "an integer"}
+
+
+def spec_field(spec: dict, name: str, kind, default=_REQUIRED):
+    """One field of a JSON edit spec, read as ``kind``.
+
+    ``kind`` is ``str``, ``float`` (finite) or ``int``; numbers may
+    also come as numeric strings.  A missing or null field takes
+    ``default``.  Raises :class:`~repro.core.errors.FormatError` naming
+    the op and the field when a required field is missing or a value
+    does not read as ``kind``.
+    """
+    value = spec.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise FormatError(f"edit {spec.get('op')}: missing field "
+                              f"{name!r}")
+        return default
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (str, int, float)) \
+            and not isinstance(value, bool):
+        try:
+            converted = kind(value)
+        except (ValueError, OverflowError):
+            converted = None
+        if converted is not None and (kind is int
+                                      or math.isfinite(converted)):
+            return converted
+    raise FormatError(f"edit {spec.get('op')}: field {name!r} must be "
+                      f"{_KINDS[kind]}, got {value!r}")
+
+
 def arc_from_spec(spec: dict) -> SyncArc:
-    """Build a :class:`SyncArc` (or conditional) from a JSON edit spec."""
-    max_delay = spec.get("max_delay_ms", 0.0)
+    """Build a :class:`SyncArc` (or conditional) from a JSON edit spec.
+
+    ``max_delay_ms`` null means no upper bound.
+    """
+    unbounded = spec.get("max_delay_ms", 0.0) is None
     kwargs = dict(
-        source=spec.get("source", ""),
-        destination=spec.get("destination", ""),
-        src_anchor=Anchor.from_name(spec.get("src_anchor", "begin")),
-        dst_anchor=Anchor.from_name(spec.get("dst_anchor", "begin")),
-        strictness=Strictness.from_name(spec.get("strictness", "may")),
-        offset=MediaTime.ms(float(spec.get("offset_ms", 0.0))),
-        min_delay=MediaTime.ms(float(spec.get("min_delay_ms", 0.0))),
-        max_delay=(None if max_delay is None
-                   else MediaTime.ms(float(max_delay))))
-    condition = spec.get("condition")
+        source=spec_field(spec, "source", str, ""),
+        destination=spec_field(spec, "destination", str, ""),
+        src_anchor=Anchor.from_name(
+            spec_field(spec, "src_anchor", str, "begin")),
+        dst_anchor=Anchor.from_name(
+            spec_field(spec, "dst_anchor", str, "begin")),
+        strictness=Strictness.from_name(
+            spec_field(spec, "strictness", str, "may")),
+        offset=MediaTime.ms(spec_field(spec, "offset_ms", float, 0.0)),
+        min_delay=MediaTime.ms(spec_field(spec, "min_delay_ms", float,
+                                          0.0)),
+        max_delay=(None if unbounded else MediaTime.ms(
+            spec_field(spec, "max_delay_ms", float, 0.0))))
+    condition = spec_field(spec, "condition", str, None)
     if condition is not None:
-        return ConditionalArc(condition=str(condition), **kwargs)
+        return ConditionalArc(condition=condition, **kwargs)
     return SyncArc(**kwargs)
+
+
+#: Each JSON edit op's :class:`LiveEditor` arguments, in order, as
+#: :func:`spec_field` reads them; ``add_arc`` also takes the
+#: :func:`arc_from_spec` fields (a ``condition`` makes it conditional).
+EDIT_OPS = {
+    "retime": (("path", str), ("duration_ms", float)),
+    "add_arc": (("owner", str),),
+    "remove_arc": (("owner", str), ("index", int)),
+    "reorder": (("parent", str), ("child", str), ("index", int)),
+    "splice": (("path", str), ("parent", str), ("index", int, None)),
+    "duplicate": (("path", str), ("name", str)),
+    "remove": (("path", str),),
+}
+
+
+def edit_call(spec) -> tuple[str, tuple]:
+    """The :class:`LiveEditor` method a JSON edit spec names, with its
+    arguments read field by field (see :data:`EDIT_OPS`).  A malformed
+    spec raises :class:`~repro.core.errors.FormatError` naming the op
+    and the field."""
+    if not isinstance(spec, dict):
+        raise FormatError(f"edit spec must be a JSON object, got "
+                          f"{type(spec).__name__}")
+    op = spec.get("op")
+    if not isinstance(op, str) or op not in EDIT_OPS:
+        raise FormatError(f"unknown edit op {op!r}; expected one of "
+                          f"{', '.join(EDIT_OPS)}")
+    args = tuple(spec_field(spec, *field) for field in EDIT_OPS[op])
+    if op == "add_arc":
+        args += (arc_from_spec(spec),)
+    return op, args
 
 
 def compiled_arc_rows(schedule: Schedule) -> tuple[list, list]:
@@ -208,7 +285,7 @@ class ProgramPatcher:
         taken = self.program_cache.take(old_schedule)
         programs = {slot: value for slot, value in taken.items()
                     if isinstance(value, PlaybackProgram)}
-        navigation = taken.get(("derived", NAVIGATION_TAG))
+        navigation = taken.get(NAVIGATION_SLOT)
         if not isinstance(navigation, NavigationProgram):
             navigation = None
         if changed_paths is None:
@@ -359,8 +436,8 @@ class ProgramPatcher:
                 record.navigations_patched += 1
             else:
                 record.navigations_recompiled += 1
-            self.program_cache.restore(
-                new_schedule, ("derived", NAVIGATION_TAG), navigation)
+            self.program_cache.restore(new_schedule, NAVIGATION_SLOT,
+                                       navigation)
 
     def _readapt(self, new_schedule: Schedule, slot, program, base,
                  record: EditRecord):
@@ -509,35 +586,9 @@ class LiveEditor:
     # -- JSON edit specs (the --edit-script format) -----------------------
 
     def apply(self, spec: dict) -> EditRecord:
-        """Dispatch one JSON edit spec: ``{"op": ..., ...}``.
-
-        Ops: ``retime`` (path, duration_ms), ``add_arc`` (owner +
-        :func:`arc_from_spec` fields; a ``condition`` makes it
-        conditional), ``remove_arc`` (owner, index), ``reorder``
-        (parent, child, index), ``splice`` (path, parent, index?),
-        ``duplicate`` (path, name), ``remove`` (path).
-        """
-        op = spec.get("op")
-        if op == "retime":
-            return self.retime(spec["path"], float(spec["duration_ms"]))
-        if op == "add_arc":
-            return self.add_arc(spec["owner"], arc_from_spec(spec))
-        if op == "remove_arc":
-            return self.remove_arc(spec["owner"], int(spec["index"]))
-        if op == "reorder":
-            return self.reorder(spec["parent"], spec["child"],
-                                int(spec["index"]))
-        if op == "splice":
-            index = spec.get("index")
-            return self.splice(spec["path"], spec["parent"],
-                               None if index is None else int(index))
-        if op == "duplicate":
-            return self.duplicate(spec["path"], spec["name"])
-        if op == "remove":
-            return self.remove(spec["path"])
-        raise ValueError_(f"unknown edit op {op!r}; expected retime, "
-                          f"add_arc, remove_arc, reorder, splice, "
-                          f"duplicate or remove")
+        """Dispatch one JSON edit spec (see :func:`edit_call`)."""
+        op, args = edit_call(spec)
+        return getattr(self, op)(*args)
 
     # -- internals ---------------------------------------------------------
 
@@ -589,4 +640,4 @@ class LiveEditor:
 
 __all__ = ["CONFLICT", "EditRecord", "LiveEditor", "NOOP", "PATCHED",
            "ProgramPatcher", "RECOMPILED", "arc_from_spec",
-           "compiled_arc_rows"]
+           "EDIT_OPS", "compiled_arc_rows", "edit_call", "spec_field"]

@@ -32,22 +32,23 @@ admission and traffic statistics make the engine observable
 
 from __future__ import annotations
 
-import collections
 import os
 import random
 import time
 from dataclasses import dataclass, field
 
+from repro.core.cache import RevisionCache
 from repro.core.counters import Counters
 from repro.core.document import CmifDocument
-from repro.core.errors import ValueError_
+from repro.core.errors import FormatError, ValueError_
 from repro.faults import (FaultPlan, RobustnessStats, resolve_faults,
                           run_shards)
 from repro.kernel.backends import resolve_kernel
 from repro.pipeline.adaptation import (adapted_navigation_for,
                                        adapted_program_for)
 from repro.pipeline.navprogram import random_trace
-from repro.pipeline.patch import EditRecord, LiveEditor
+from repro.pipeline.patch import (EditRecord, LiveEditor, edit_call,
+                                  spec_field)
 from repro.pipeline.program import BatchPlayer, PlaybackProgram, \
     ProgramCache
 from repro.timing.schedule import (ENGINE_REFERENCE, Schedule,
@@ -244,6 +245,16 @@ def _drive_shard(tasks: list) -> tuple:
         for counters, snapshot in zip(touched, before)]
 
 
+class _PlayerCache(RevisionCache):
+    """Batch players keyed by program identity, with no revision: a
+    live edit patches a program in place and its player flushes its
+    tables on the program's patch epoch, so the player stays valid."""
+
+    @staticmethod
+    def document_of(program):
+        return None
+
+
 class SessionEngine:
     """Admit, adapt and replay sessions across shared compiled caches."""
 
@@ -265,11 +276,8 @@ class SessionEngine:
         self.session_count = 0
         #: The most recent drive's run queue (scheduler observability).
         self.last_queue: RunQueue | None = None
-        #: (id(program), environment fingerprint) -> (program, player);
-        #: pinning the program keeps id() reuse impossible.
-        self._players: collections.OrderedDict[
-            tuple, tuple[PlaybackProgram, BatchPlayer]] = \
-            collections.OrderedDict()
+        #: Batch players keyed (program, environment fingerprint).
+        self._players = _PlayerCache(PLAYER_CACHE_CAPACITY)
         #: id(document) -> (document, live editor); pinning the
         #: document keeps id() reuse impossible.
         self._editors: dict[int, tuple[CmifDocument, LiveEditor]] = {}
@@ -279,8 +287,8 @@ class SessionEngine:
         #: the session origin's pinned replica set (session affinity);
         #: placement may change the traffic bill, never the reports.
         self.federation = federation
-        #: id(document) -> (document, stream ids) for federation pulls.
-        self._stream_ids: dict[int, tuple[CmifDocument, tuple]] = {}
+        #: Federation stream ids per document revision.
+        self._stream_ids = RevisionCache(SCHEDULE_CACHE_CAPACITY)
 
     # -- shared-resource plumbing -----------------------------------------
 
@@ -294,18 +302,10 @@ class SessionEngine:
 
     def _player_for(self, schedule: Schedule, program: PlaybackProgram,
                     environment: SystemEnvironment) -> BatchPlayer:
-        key = (id(program), environment.fingerprint())
-        entry = self._players.get(key)
-        if entry is not None and entry[0] is program:
-            self._players.move_to_end(key)
-            return entry[1]
-        player = BatchPlayer(schedule, environment, seed=self.seed,
-                             program=program, kernel=self.kernel)
-        self._players[key] = (program, player)
-        self._players.move_to_end(key)
-        while len(self._players) > PLAYER_CACHE_CAPACITY:
-            self._players.popitem(last=False)
-        return player
+        return self._players.get_or_build(
+            program, environment.fingerprint(),
+            lambda: BatchPlayer(schedule, environment, seed=self.seed,
+                                program=program, kernel=self.kernel))
 
     # -- live authoring ------------------------------------------------------
 
@@ -386,14 +386,11 @@ class SessionEngine:
         """The content-pull closure a federation-backed session runs
         per replay.  ``stream_ids`` overrides the document-derived id
         set (the workload catalog's namespaced ids)."""
-        if stream_ids is None:
-            entry = self._stream_ids.get(id(document))
-            if entry is not None and entry[0] is document:
-                stream_ids = entry[1]
-            else:
-                stream_ids = self.federation.stream_ids_for(document)
-                self._stream_ids[id(document)] = (document, stream_ids)
         federation = self.federation
+        if stream_ids is None:
+            stream_ids = self._stream_ids.get_or_build(
+                document, None,
+                lambda: federation.stream_ids_for(document))
         ids = tuple(stream_ids)
 
         def stream() -> int:
@@ -454,12 +451,11 @@ class SessionEngine:
             self.robustness.record_fault("solve")
             self.robustness.degraded_solves += 1
             self.robustness.recovered += 1
-            schedule = self.schedule_cache.get(document)
-            if schedule is None:
-                schedule = schedule_document(
+            schedule = self.schedule_cache.get_or_build(
+                document, ScheduleCache.slot(),
+                lambda: schedule_document(
                     compiled if compiled is not None
-                    else document.compile(), engine=ENGINE_REFERENCE)
-                self.schedule_cache.put(document, schedule)
+                    else document.compile(), engine=ENGINE_REFERENCE))
         else:
             schedule = schedule_for(document, cache=self.schedule_cache,
                                     kernel=self.kernel, compiled=compiled)
@@ -687,14 +683,21 @@ class SessionEngine:
         edits = None
         if edit_script:
             def make_edit(spec: dict):
-                target = documents[int(spec.get("document", 0))]
+                edit_call(spec)
+                index = spec_field(spec, "document", int, 0)
+                if not 0 <= index < len(documents):
+                    raise FormatError(
+                        f"edit {spec.get('op')}: field 'document' must "
+                        f"index one of {len(documents)} document(s), "
+                        f"got {index}")
+                target = documents[index]
 
                 def apply() -> None:
                     edit_records.append(self.apply_edit(
                         target, spec, sessions=sessions))
                 return apply
 
-            edits = [(int(spec.get("at_step", 0)), make_edit(spec))
+            edits = [(spec_field(spec, "at_step", int, 0), make_edit(spec))
                      for spec in edit_script]
         if replays > 0 or interactive_per_pair > 0 or edits:
             self.drive(sessions, replays, rate=rate,

@@ -67,9 +67,10 @@ class Session:
                                      compare=False)
     robustness: RobustnessStats | None = field(default=None, repr=False,
                                                compare=False)
-    #: Lazily built reference-solved schedule for degraded replays.
-    _degraded_schedule: Schedule | None = field(default=None, repr=False,
-                                                compare=False)
+    #: ``(schedule, reference-solved schedule)`` for degraded replays,
+    #: built lazily and rebuilt when a live edit replaces ``schedule``.
+    _degraded: tuple | None = field(default=None, repr=False,
+                                    compare=False)
     #: Site this tenant reads from (session affinity); None = no
     #: federation attached.
     origin: str | None = None
@@ -153,15 +154,15 @@ class Session:
         """
         if self.robustness is not None:
             self.robustness.record_fault("replay")
-        if self._degraded_schedule is None:
+        if self._degraded is None or self._degraded[0] is not self.schedule:
             document = self.document
             if self.program is not None \
                     and self.program.adaptation is not None:
                 document = self.program.adaptation.adapt_document(document)
-            self._degraded_schedule = schedule_document(
-                document.compile(), engine=ENGINE_REFERENCE)
+            self._degraded = (self.schedule, schedule_document(
+                document.compile(), engine=ENGINE_REFERENCE))
         report = Player(self.environment).play_reference(
-            self._degraded_schedule, rate=rate, freeze_at_ms=freeze_at_ms,
+            self._degraded[1], rate=rate, freeze_at_ms=freeze_at_ms,
             freeze_duration_ms=freeze_duration_ms, seek_to_ms=seek_to_ms,
             rng=self.rng_for(self.replays_run))
         self.replays_run += 1

@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Callable
 
-from repro.kernel.backends import resolve_kernel
+from repro.kernel._np import numpy_loaded
+from repro.kernel.backends import KERNEL_AUTO, resolve_kernel
 from repro.store.query import (Always, And, Contains, DurationBetween, Eq,
                                MatchesAttr, MediumIs, Not, Or, Query, Range)
 
@@ -243,7 +244,7 @@ def _plan_or(store: "DataStore", node: Or) -> _Subplan | None:
             return _Subplan(matches_all=True)
         if not child.steps:
             return None
-        union |= _intersect_steps(store, child.steps)
+        union |= _intersect_sets(child.steps)
         if child.residuals or any(not s.exact for s in child.steps):
             exact = False
     step = IndexStep(index="union", description=node.description,
@@ -255,40 +256,47 @@ def _plan_or(store: "DataStore", node: Or) -> _Subplan | None:
     return subplan
 
 
-def _intersect_steps(store: "DataStore", steps: list[IndexStep],
-                     kernel=None) -> set[str]:
-    """The steps' candidate intersection, smallest set first."""
-    if not steps:
-        return set()
+def _candidates(store: "DataStore", steps: list[IndexStep],
+                kernel=None) -> list[str]:
+    """The steps' candidate intersection, in registration order.
+
+    Steps intersect smallest set first.  The numpy kernel merges each
+    step's sorted insertion-rank array (cached on the store per set
+    identity and version) with ``np.intersect1d(assume_unique=True)``,
+    and the merged ranks come out in registration order for free.  It
+    engages only when the most selective step holds at least
+    :data:`_NP_MIN_IDS` ids, and, under the default kernel, only once
+    NumPy is loaded: importing it (~140 ms) costs more than the merge
+    saves on any one query (at most ~20 ms at 100k descriptors), so a
+    planned query never imports NumPy unless the caller names the
+    numpy kernel.  Both checks come before the kernel is resolved.
+    """
     ordered = sorted(steps, key=lambda s: s.estimate)
-    np = resolve_kernel(kernel).np
-    if np is not None and len(ordered) > 1 \
-            and len(ordered[0].ids) >= _NP_MIN_IDS:
-        return set(store.ids_for_ranks(
-            _intersect_ranks(store, ordered, np)))
+    if not ordered:
+        return []
+    if len(ordered[0].ids) >= _NP_MIN_IDS and (
+            numpy_loaded() or kernel not in (None, KERNEL_AUTO)):
+        np = resolve_kernel(kernel).np
+        if np is not None:
+            ranks = store.rank_array(ordered[0].ids, np)
+            for step in ordered[1:]:
+                if not ranks.size:
+                    break
+                ranks = np.intersect1d(
+                    ranks, store.rank_array(step.ids, np),
+                    assume_unique=True)
+            return store.ids_for_ranks(ranks)
+    return store.in_registration_order(_intersect_sets(ordered))
+
+
+def _intersect_sets(steps: list[IndexStep]) -> set[str]:
+    """The steps' candidate set intersection, smallest set first."""
+    ordered = sorted(steps, key=lambda s: s.estimate)
     result = set(ordered[0].ids)
     for step in ordered[1:]:
         if not result:
             break
         result = result & step.ids
-    return result
-
-
-def _intersect_ranks(store: "DataStore", ordered: list[IndexStep], np):
-    """Vectorized intersection over sorted insertion-rank arrays.
-
-    Each step's id set becomes a sorted unique int64 rank array (cached
-    on the store per set identity and version), so the intersection is
-    ``np.intersect1d(assume_unique=True)`` merges — and the result is
-    already in registration order, which is exactly the order
-    :func:`execute_plan` must examine candidates in.
-    """
-    result = store.rank_array(ordered[0].ids, np)
-    for step in ordered[1:]:
-        if not result.size:
-            break
-        result = np.intersect1d(result, store.rank_array(step.ids, np),
-                                assume_unique=True)
     return result
 
 
@@ -359,16 +367,7 @@ def execute_plan(store: "DataStore", plan: Plan,
         if residual is None:
             return store.scan_where(lambda descriptor: True)
         return store.scan_where(residual)
-    np = resolve_kernel(kernel).np
-    steps = list(plan.steps)
-    ordered = sorted(steps, key=lambda s: s.estimate)
-    if np is not None and ordered \
-            and len(ordered[0].ids) >= _NP_MIN_IDS:
-        examined = store.ids_for_ranks(
-            _intersect_ranks(store, ordered, np))
-    else:
-        examined = store.in_registration_order(
-            _intersect_steps(store, steps, kernel=kernel))
+    examined = _candidates(store, plan.steps, kernel)
     residual = plan.residual
     results: list["DataDescriptor"] = []
     for descriptor_id in examined:

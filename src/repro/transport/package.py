@@ -142,14 +142,26 @@ def _descriptor_to_obj(descriptor: DataDescriptor) -> dict:
     }
 
 
+def _require_strings(obj: dict, entry: str, names) -> None:
+    """Check that a package entry carries each named string field."""
+    for name in names:
+        if name not in obj:
+            raise TransportError(f"{entry} entry is missing its {name!r} "
+                                 f"field")
+        if not isinstance(obj[name], str):
+            raise TransportError(f"{entry} entry field {name!r} must be "
+                                 f"a string, got {obj[name]!r}")
+
+
 def _descriptor_from_obj(obj: dict) -> DataDescriptor:
     if not isinstance(obj, dict):
         raise TransportError(f"descriptor entry must be an object, got "
                              f"{obj!r}")
-    for name in ("descriptor_id", "medium"):
-        if name not in obj:
-            raise TransportError(f"descriptor entry is missing its "
-                                 f"{name!r} field")
+    _require_strings(obj, "descriptor", ("descriptor_id", "medium"))
+    if not isinstance(obj.get("block_id", ""), (str, type(None))):
+        raise TransportError(f"descriptor {obj['descriptor_id']!r}: "
+                             f"'block_id' must be a string, got "
+                             f"{obj['block_id']!r}")
     attributes = obj.get("attributes") or {}
     if not isinstance(attributes, dict):
         raise TransportError(f"descriptor {obj['descriptor_id']!r}: "
@@ -214,23 +226,25 @@ def _block_from_obj(obj: dict,
     if not isinstance(obj, dict):
         raise TransportError(f"block entry must be an object, got "
                              f"{obj!r}")
-    for name in ("block_id", "medium", "encoding", "data"):
-        if name not in obj:
-            raise TransportError(f"block entry is missing its {name!r} "
-                                 f"field")
+    _require_strings(obj, "block", ("block_id", "medium", "encoding",
+                                     "data"))
     encoding = obj["encoding"]
     raw = _decode_payload(obj["data"], package_version)
-    if encoding == "utf-8":
-        payload: object = raw.decode("utf-8")
-    elif encoding == "bytes":
-        payload = raw
-    elif encoding.startswith("ndarray:"):
-        np = require_numpy("array payload unpacking")
-        _, dtype, shape_text = encoding.split(":", 2)
-        shape = tuple(int(dim) for dim in shape_text.split(","))
-        payload = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    else:
-        raise TransportError(f"unknown block encoding {encoding!r}")
+    try:
+        if encoding == "utf-8":
+            payload: object = raw.decode("utf-8")
+        elif encoding == "bytes":
+            payload = raw
+        elif encoding.startswith("ndarray:"):
+            np = require_numpy("array payload unpacking")
+            _, dtype, shape_text = encoding.split(":", 2)
+            shape = tuple(int(dim) for dim in shape_text.split(","))
+            payload = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        else:
+            raise TransportError(f"unknown block encoding {encoding!r}")
+    except (TypeError, ValueError) as exc:
+        raise TransportError(f"block {obj['block_id']!r}: cannot decode "
+                             f"its {encoding!r} payload: {exc}") from None
     return DataBlock(block_id=obj["block_id"],
                      medium=Medium.from_name(obj["medium"]),
                      payload=payload)

@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.core.builder import DocumentBuilder
 from repro.core.timebase import MediaTime
@@ -149,3 +151,41 @@ def test_cli_runs_without_numpy(tmp_path):
     out = run_python(code, env=env)
     assert "VALID: 0 errors" in out
     assert "refused: audio synthesis requires numpy" in out
+
+
+PLANNED_QUERY = """
+import json, sys
+from repro.core.channels import Medium
+from repro.core.descriptors import DataDescriptor
+from repro.kernel._np import HAVE_NUMPY
+from repro.store import DataStore, attr_range, keyword, medium_is
+store = DataStore("planned")
+for index in range(400):
+    store.register(DataDescriptor(
+        f"d{index:03d}", Medium.VIDEO if index % 2 else Medium.TEXT,
+        attributes={"keywords": (f"topic-{index % 4}",),
+                    "characters": index * 10}))
+query = QUERY
+kernel = KERNEL if HAVE_NUMPY else None
+plan = store.explain(query)
+smallest = min(len(step.ids) for step in plan.steps)
+found = store.find_where(query, kernel=kernel)
+print(json.dumps([smallest, len(found), "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("query,kernel,vector", [
+    ('keyword("topic-1") & medium_is("video") '
+     '& attr_range("characters", 0, 400)', "numpy", False),
+    ('keyword("topic-1") & medium_is("video")', None, True),
+])
+def test_planned_query_never_imports_numpy(query, kernel, vector):
+    """A planned query imports no NumPy: under the numpy kernel when
+    its most selective step is under the vector floor, and under the
+    default kernel at any size while NumPy is not yet loaded."""
+    code = PLANNED_QUERY.replace("QUERY", query).replace("KERNEL",
+                                                         repr(kernel))
+    smallest, found, loaded = json.loads(run_python(code))
+    assert (smallest >= 64) == vector
+    assert found > 0
+    assert loaded is False

@@ -8,6 +8,7 @@ escape the :class:`~repro.core.errors.CmifError` hierarchy with a bare
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,20 @@ class TestDescriptorDecode:
         with pytest.raises(TransportError, match="'attributes'"):
             package.unpack(text)
 
+    @pytest.mark.parametrize("field,value", [("block_id", [1]),
+                                             ("descriptor_id", 5),
+                                             ("medium", ["video"])])
+    def test_non_string_id_is_named(self, field, value):
+        text = damaged_package(lambda obj: obj.__setitem__(field, value))
+        with pytest.raises(TransportError, match=repr(field)):
+            package.unpack(text)
+
+    def test_non_list_pointers(self):
+        def damage(obj):
+            obj["attributes"]["keywords"] = {"$pointers": 5}
+        with pytest.raises(FormatError, match=r"malformed \$pointers"):
+            package.unpack(damaged_package(damage))
+
 
 def envelope(**fields) -> str:
     """A package whose envelope carries ``fields`` (None drops one)."""
@@ -115,6 +130,20 @@ class TestEnvelopeDecode:
         with pytest.raises(TransportError, match=repr(field)):
             package.unpack(envelope(blocks={"b": entry}))
 
+    @pytest.mark.parametrize("field", ["block_id", "encoding", "data"])
+    def test_block_entry_non_string_field(self, field):
+        entry = {"block_id": "b", "medium": "text", "encoding": "utf-8",
+                 "data": "aGk=", "checksum": ""}
+        entry[field] = [1]
+        with pytest.raises(TransportError, match=repr(field)):
+            package.unpack(envelope(blocks={"b": entry}))
+
+    def test_undecodable_payload(self):
+        entry = {"block_id": "b", "medium": "text", "encoding": "utf-8",
+                 "data": "/w==", "checksum": ""}
+        with pytest.raises(TransportError, match="cannot decode"):
+            package.unpack(envelope(blocks={"b": entry}))
+
     def test_empty_tables_still_load(self):
         result = package.unpack(envelope(blocks=[], descriptors={}))
         assert result.embedded_blocks == 0
@@ -139,3 +168,74 @@ class TestValueDecode:
             obj["attributes"]["duration"] = {"$time": [1]}
         with pytest.raises(FormatError, match=r"malformed \$time"):
             package.unpack(damaged_package(damage))
+
+
+LEAF = "/#0/#0/#0/#0/e0"
+
+BAD_EDITS = [
+    ({"op": "retime", "path": "x"}, "retime.*'duration_ms'"),
+    ({"op": "retime", "path": LEAF, "duration_ms": "abc"},
+     "retime.*'duration_ms'"),
+    ({"op": "retime", "path": LEAF, "duration_ms": float("nan")},
+     "retime.*'duration_ms'"),
+    ({"op": "retime", "path": 5, "duration_ms": 100}, "retime.*'path'"),
+    ({"op": "remove_arc", "owner": "/", "index": [1]},
+     "remove_arc.*'index'"),
+    ({"op": "reorder", "parent": "/", "child": "c", "index": True},
+     "reorder.*'index'"),
+    ({"op": "add_arc", "owner": "/", "offset_ms": "soon"},
+     "add_arc.*'offset_ms'"),
+    ({"op": "add_arc", "owner": "/", "condition": 7},
+     "add_arc.*'condition'"),
+    ({"op": "splice", "path": LEAF}, "splice.*'parent'"),
+    ({"op": "fold"}, "unknown edit op 'fold'"),
+    ({"op": ["retime"]}, r"unknown edit op \['retime'\]"),
+    (["retime"], "must be a JSON object"),
+]
+
+
+class TestEditSpecs:
+    """Malformed live-edit specs raise FormatError naming op and field."""
+
+    @pytest.mark.parametrize("spec,message", BAD_EDITS)
+    def test_live_editor_rejects(self, spec, message):
+        from repro.pipeline.patch import LiveEditor
+        document = make_media_document(5, events=8)
+        revision = document.revision
+        editor = LiveEditor(document)
+        with pytest.raises(FormatError, match=message):
+            editor.apply(spec)
+        assert document.revision == revision
+
+    @pytest.mark.parametrize("spec,message", BAD_EDITS[:3])
+    def test_cli_edit_exits_2_with_one_line(self, spec, message, tmp_path,
+                                            capsys):
+        from repro.cli import main
+        document = tmp_path / "doc.cmifpkg"
+        document.write_text(package.pack(make_media_document(5, events=8)),
+                            encoding="utf-8")
+        script = tmp_path / "edits.json"
+        script.write_text(json.dumps([spec]), encoding="utf-8")
+        assert main(["edit", str(document), "--script", str(script)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert re.match(f"error: edit {message}", err)
+
+    def test_negative_retime_is_refused_as_a_cold_compile_would(self):
+        from repro.core.errors import ValueError_
+        from repro.pipeline.patch import LiveEditor
+        document = make_media_document(5, events=8)
+        revision = document.revision
+        with pytest.raises(ValueError_, match="negative"):
+            LiveEditor(document).apply({"op": "retime", "path": LEAF,
+                                        "duration_ms": -5})
+        assert document.revision == revision
+
+    def test_serve_checks_the_document_index(self):
+        from repro.serving import SessionEngine
+        from repro.transport.environments import WORKSTATION
+        engine = SessionEngine(seed=1)
+        with pytest.raises(FormatError, match="'document'"):
+            engine.serve([make_media_document(5, events=8)], [WORKSTATION],
+                         edit_script=[{"op": "retime", "path": LEAF,
+                                       "duration_ms": 10, "document": 3}])
